@@ -14,8 +14,10 @@
 # to the serial engine), a cycle-accounting gate (the fig_breakdown
 # sweep must match its golden, a traced run must pass the breakdown
 # conservation rows in `analyze --validate`, and a sed-forged stall
-# component must fail naming the broken identity), and a doc-link check
-# (every binary, flag and results/ file named in the docs must exist).
+# component must fail naming the broken identity), a doc-link check
+# (every binary, flag and results/ file named in the docs must exist),
+# and the benchmark package's own tests (forged-report negative
+# controls, determinism, the metric list against BENCHMARK.json).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -393,6 +395,15 @@ for f in $(grep -ohE 'results/[A-Za-z0-9_.]+' $docs | sort -u); do
 done
 [ "$docfail" -eq 0 ]
 echo "doc-link check: every named binary, flag and results/ file exists"
+
+echo "== benchmark package: perfbench tests =="
+# perfbench is its own Cargo workspace, so the workspace test run above
+# does not reach it. Its tests feed forged reports to the output checks
+# (each must be caught), run one seed twice (bit-identical model
+# metrics) and check every workload reports exactly the metrics
+# BENCHMARK.json lists.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+echo "perfbench tests pass"
 
 echo "== bench smoke: bench_suite schema + regression gate =="
 # Runs the microbenchmark suite at ci scale (min-of-3 timing),

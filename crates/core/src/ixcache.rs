@@ -298,7 +298,9 @@ const STAB_LINEAR_MAX: usize = 8;
 /// a step or two. A single `(index)`-keyed run would be poisoned by
 /// any upper-level node — a root tag spanning the whole key space
 /// holds the running maximum at `u64::MAX` and degrades every scan
-/// back to linear.
+/// back to linear. A run directory records where each run starts, so
+/// a stabbing query does exactly one binary search per run of the
+/// probed index.
 ///
 /// Mutations are O(log n) amortized, never an O(n) array shift:
 ///
@@ -311,12 +313,13 @@ const STAB_LINEAR_MAX: usize = 8;
 ///   place, never touching the sort key.
 ///
 /// A compaction — every [`PENDING_MAX`] adds or `len/4` tombstones —
-/// folds `pending` in, drops tombstones and rebuilds exact prefix
-/// maxima; `sort_unstable` on the nearly-sorted result is close to
-/// linear. Between compactions the sort keys of `tags` are immutable,
-/// so `prefix_hi` is always *exact* over `tags` (tombstones included;
-/// they only ever leave a bound too high, costing scan steps, never
-/// correctness).
+/// sorts only the pending tags, then merges them into the sorted tags
+/// in one linear pass that drops tombstones and rebuilds the exact
+/// prefix maxima and the run directory, writing into a reused buffer
+/// (no allocation in steady state). Between compactions the sort keys
+/// of `tags` are immutable, so `prefix_hi` is always *exact* over
+/// `tags` (tombstones included; they only ever leave a bound too high,
+/// costing scan steps, never correctness).
 ///
 /// The overlay never owns entries and never defines their order: the
 /// backing `Vec<Entry>` keeps its insertion/`swap_remove` order, which
@@ -330,11 +333,16 @@ struct IntervalIndex {
     tags: Vec<Tag>,
     /// Exact running max of `hi` per `(index, level)` run of `tags`.
     prefix_hi: Vec<u64>,
+    /// The run directory: where each `(index, level)` run of `tags`
+    /// starts, in order. A run ends where the next one starts.
+    runs: Vec<u32>,
     /// Recent adds: unsorted, all live, at most [`PENDING_MAX`] − 1
     /// outside [`IntervalIndex::add`].
     pending: Vec<Tag>,
     /// Tombstones currently in `tags`.
     dead: u32,
+    /// The merge target of the next compaction, swapped with `tags`.
+    spare: Vec<Tag>,
 }
 
 /// Where [`IntervalIndex::find`] located a live tag.
@@ -348,29 +356,62 @@ impl IntervalIndex {
         IntervalIndex {
             tags: Vec::with_capacity(n),
             prefix_hi: Vec::with_capacity(n),
+            runs: Vec::new(),
             pending: Vec::with_capacity(PENDING_MAX),
             dead: 0,
+            spare: Vec::with_capacity(n),
         }
     }
 
-    /// Folds pending adds in, drops tombstones and rebuilds exact
-    /// prefix maxima.
+    /// Merges the pending adds into the sorted tags, dropping
+    /// tombstones and rebuilding exact prefix maxima and the run
+    /// directory, all in one linear pass: each (sorted) pending tag
+    /// binary-searches its place in what is left of `tags`, and the live
+    /// tags before it are copied across ahead of it.
     fn compact(&mut self) {
-        if self.dead > 0 {
-            self.tags.retain(|t| t.pos != DEAD_POS);
-            self.dead = 0;
+        let IntervalIndex {
+            tags,
+            prefix_hi,
+            runs,
+            pending,
+            dead,
+            spare,
+        } = self;
+        pending.sort_unstable_by_key(Tag::key);
+        spare.clear();
+        prefix_hi.clear();
+        runs.clear();
+        let mut run = None;
+        let mut run_max = 0;
+        let mut emit = |t: Tag| {
+            if run == Some((t.index, t.level)) {
+                run_max = run_max.max(t.hi);
+            } else {
+                run = Some((t.index, t.level));
+                runs.push(spare.len() as u32);
+                run_max = t.hi;
+            }
+            prefix_hi.push(run_max);
+            spare.push(t);
+        };
+        let mut rest = &tags[..];
+        for &p in pending.iter() {
+            let (before, after) = rest.split_at(rest.partition_point(|t| t.key() < p.key()));
+            before
+                .iter()
+                .filter(|t| t.pos != DEAD_POS)
+                .for_each(|&t| emit(t));
+            emit(p);
+            rest = after;
         }
-        self.tags.append(&mut self.pending);
-        self.tags.sort_unstable_by_key(Tag::key);
-        self.prefix_hi.clear();
-        let mut run_max = 0u64;
-        for i in 0..self.tags.len() {
-            let t = self.tags[i];
-            let same_run =
-                i > 0 && (self.tags[i - 1].index, self.tags[i - 1].level) == (t.index, t.level);
-            run_max = if same_run { run_max.max(t.hi) } else { t.hi };
-            self.prefix_hi.push(run_max);
-        }
+        rest.iter()
+            .filter(|t| t.pos != DEAD_POS)
+            .for_each(|&t| emit(t));
+        pending.clear();
+        std::mem::swap(tags, spare);
+        *dead = 0;
+        #[cfg(debug_assertions)]
+        self.check_structure();
     }
 
     /// Registers the span of the level-`level` entry at `pos`.
@@ -457,27 +498,17 @@ impl IntervalIndex {
             }
             return;
         }
-        // Common case (everything but JOIN): the whole overlay is one
-        // index — skip the two region-boundary searches.
-        let (mut run, end) =
-            if self.tags[0].index == index && self.tags[self.tags.len() - 1].index == index {
-                (0, self.tags.len())
-            } else {
-                let end = self.tags.partition_point(|t| t.index <= index);
-                (self.tags[..end].partition_point(|t| t.index < index), end)
-            };
-        while run < end {
-            let level = self.tags[run].level;
-            // Levels are monotone within the region, so an equal level
-            // at the far end means this is the last (often only) run —
-            // skip the boundary search.
-            let run_end = if self.tags[end - 1].level == level {
-                end
-            } else {
-                run + self.tags[run..end].partition_point(|t| t.level <= level)
-            };
-            let mut i = run + self.tags[run..run_end].partition_point(|t| t.lo <= key);
-            while i > run {
+        for (r, &start) in self.runs.iter().enumerate() {
+            let start = start as usize;
+            if self.tags[start].index != index {
+                continue;
+            }
+            let end = self
+                .runs
+                .get(r + 1)
+                .map_or(self.tags.len(), |&next| next as usize);
+            let mut i = start + self.tags[start..end].partition_point(|t| t.lo <= key);
+            while i > start {
                 i -= 1;
                 if self.prefix_hi[i] < key {
                     break;
@@ -487,28 +518,58 @@ impl IntervalIndex {
                     f(t.pos);
                 }
             }
-            run = run_end;
         }
     }
 
     fn clear(&mut self) {
         self.tags.clear();
         self.prefix_hi.clear();
+        self.runs.clear();
         self.pending.clear();
         self.dead = 0;
     }
 
-    /// Invariant check for tests: sorted tags, exact prefix maxima per
-    /// `(index, level)` run, a consistent tombstone count, and a
+    /// The structural invariant: sorted tags, exact prefix maxima per
+    /// `(index, level)` run, a run directory that names every run start
+    /// and nothing else, and a consistent tombstone count. Debug builds
+    /// check it after every compaction.
+    #[cfg(any(test, debug_assertions))]
+    fn check_structure(&self) {
+        assert_eq!(self.tags.len(), self.prefix_hi.len());
+        assert_eq!(
+            self.dead as usize,
+            self.tags.iter().filter(|t| t.pos == DEAD_POS).count(),
+            "tombstone count must be exact"
+        );
+        let mut runs = 0;
+        let mut run_max = 0u64;
+        for (i, t) in self.tags.iter().enumerate() {
+            let prev = i.checked_sub(1).map(|p| self.tags[p]);
+            if let Some(prev) = prev {
+                assert!(prev.key() <= t.key(), "tags must stay sorted");
+            }
+            if prev.is_some_and(|p| (p.index, p.level) == (t.index, t.level)) {
+                run_max = run_max.max(t.hi);
+            } else {
+                assert_eq!(
+                    self.runs.get(runs),
+                    Some(&(i as u32)),
+                    "run directory must name the run starting at tag {i}"
+                );
+                runs += 1;
+                run_max = t.hi;
+            }
+            assert_eq!(self.prefix_hi[i], run_max, "prefix maxima must be exact");
+        }
+        assert_eq!(runs, self.runs.len(), "run directory has stray runs");
+    }
+
+    /// Full invariant check for tests: the structural invariant plus a
     /// one-to-one correspondence between live tags and backing entries.
     #[cfg(test)]
     fn check(&self, entries: &[Entry]) {
         assert!(self.pending.len() < PENDING_MAX);
-        assert_eq!(self.tags.len(), self.prefix_hi.len());
-        assert_eq!(
-            self.dead as usize,
-            self.tags.iter().filter(|t| t.pos == DEAD_POS).count()
-        );
+        self.check_structure();
         let mut seen = vec![false; entries.len()];
         for t in self
             .tags
@@ -524,16 +585,6 @@ impl IntervalIndex {
             assert!(!std::mem::replace(&mut seen[t.pos as usize], true));
         }
         assert!(seen.iter().all(|&s| s), "every entry must have a tag");
-        let mut run_max = 0u64;
-        for (i, t) in self.tags.iter().enumerate() {
-            let same_run =
-                i > 0 && (self.tags[i - 1].index, self.tags[i - 1].level) == (t.index, t.level);
-            if i > 0 {
-                assert!(self.tags[i - 1].key() <= t.key(), "tags must stay sorted");
-            }
-            run_max = if same_run { run_max.max(t.hi) } else { t.hi };
-            assert_eq!(self.prefix_hi[i], run_max, "prefix maxima must be exact");
-        }
     }
 }
 
@@ -584,8 +635,10 @@ pub struct IxCache {
     /// see [`IntervalIndex`].
     narrow_idx: Vec<IntervalIndex>,
     wide_idx: IntervalIndex,
-    /// Reusable probe candidate buffer (no per-probe allocation).
-    scratch: Vec<u32>,
+    /// Resident entries over every partition (what
+    /// [`IxCache::occupancy`] reports), kept in step with every
+    /// placement and removal.
+    resident: usize,
     /// Recycled segment vectors from evicted entries (no per-insert
     /// allocation once the cache has warmed up).
     seg_pool: Vec<Vec<(KeyRange, u32)>>,
@@ -632,7 +685,7 @@ impl IxCache {
                 .map(|_| IntervalIndex::with_capacity(cfg.ways))
                 .collect(),
             wide_idx: IntervalIndex::with_capacity(cfg.entries),
-            scratch: Vec::with_capacity(cfg.ways.max(8)),
+            resident: 0,
             seg_pool: Vec::new(),
             tick: 0,
             stats: IxStats::default(),
@@ -762,7 +815,6 @@ impl IxCache {
         // legacy linear scan would have found first keeps the win (the
         // probed set before the wide partition, lower position first).
         let mut best: Option<(u8, u8, u32, IxHit)> = None;
-        let mut scratch = std::mem::take(&mut self.scratch);
 
         // Every covering entry is refreshed (they are live *reach* for
         // this key even when a deeper entry wins), and the deepest one
@@ -771,9 +823,7 @@ impl IxCache {
             (0u8, &mut self.sets[set_idx], &self.narrow_idx[set_idx]),
             (1u8, &mut self.wide, &self.wide_idx),
         ] {
-            scratch.clear();
-            tags.stab(index, key, |pos| scratch.push(pos));
-            for &pos in &scratch {
+            tags.stab(index, key, |pos| {
                 let e = &mut entries[pos as usize];
                 if let Some((range, node)) = e.matches(index, key) {
                     e.utility = (e.utility + 1).min(UTILITY_MAX);
@@ -791,9 +841,8 @@ impl IxCache {
                         best = Some((hit.level, part, pos, hit));
                     }
                 }
-            }
+            });
         }
-        self.scratch = scratch;
 
         match best {
             Some((_, part, pos, hit)) => {
@@ -841,14 +890,11 @@ impl IxCache {
     pub fn peek(&self, index: IndexId, key: Key) -> Option<IxHit> {
         let set_idx = self.set_of(index, key);
         let mut best: Option<(u8, u8, u32, IxHit)> = None;
-        let mut candidates: Vec<u32> = Vec::with_capacity(self.cfg.ways.max(8));
         for (part, entries, tags) in [
             (0u8, &self.sets[set_idx], &self.narrow_idx[set_idx]),
             (1u8, &self.wide, &self.wide_idx),
         ] {
-            candidates.clear();
-            tags.stab(index, key, |pos| candidates.push(pos));
-            for &pos in &candidates {
+            tags.stab(index, key, |pos| {
                 let e = &entries[pos as usize];
                 if let Some((range, node)) = e.matches(index, key) {
                     let hit = IxHit {
@@ -864,7 +910,7 @@ impl IxCache {
                         best = Some((hit.level, part, pos, hit));
                     }
                 }
-            }
+            });
         }
         best.map(|(_, _, _, hit)| hit)
     }
@@ -1016,49 +1062,26 @@ impl IxCache {
     /// Pinned entries are not exempt — coherence outranks pinning.
     pub fn invalidate_range(&mut self, index: IndexId, level: Option<u8>, range: KeyRange) {
         for s in 0..self.sets.len() {
-            Self::invalidate_partition(
-                &mut self.sets[s],
-                &mut self.narrow_idx[s],
-                &mut self.seg_pool,
-                &mut self.stats,
-                &mut self.recent_invalidations,
-                self.record,
-                s as u32,
-                index,
-                level,
-                range,
-            );
+            self.invalidate_partition(Some(s), index, level, range);
         }
-        Self::invalidate_partition(
-            &mut self.wide,
-            &mut self.wide_idx,
-            &mut self.seg_pool,
-            &mut self.stats,
-            &mut self.recent_invalidations,
-            self.record,
-            WIDE_SET,
-            index,
-            level,
-            range,
-        );
+        self.invalidate_partition(None, index, level, range);
     }
 
-    /// Applies one range invalidation to one partition. Iterates
-    /// positions high-to-low so the `swap_remove` inside `remove_entry`
-    /// only relocates already-examined entries.
-    #[allow(clippy::too_many_arguments)]
+    /// Applies one range invalidation to narrow set `set`, or to the
+    /// wide partition for `None`. Iterates positions high-to-low so the
+    /// `swap_remove` inside `remove_entry` only relocates
+    /// already-examined entries.
     fn invalidate_partition(
-        entries: &mut Vec<Entry>,
-        tags: &mut IntervalIndex,
-        seg_pool: &mut Vec<Vec<(KeyRange, u32)>>,
-        stats: &mut IxStats,
-        records: &mut Vec<InvalidateRecord>,
-        record: bool,
-        set_label: u32,
+        &mut self,
+        set: Option<usize>,
         index: IndexId,
         level: Option<u8>,
         range: KeyRange,
     ) {
+        let (entries, tags, set_label) = match set {
+            Some(s) => (&mut self.sets[s], &mut self.narrow_idx[s], s as u32),
+            None => (&mut self.wide, &mut self.wide_idx, WIDE_SET),
+        };
         for v in (0..entries.len()).rev() {
             let e = &entries[v];
             if e.index != index || level.is_some_and(|l| l != e.level) || !e.span.overlaps(&range) {
@@ -1071,9 +1094,9 @@ impl IxCache {
             }
             let old_span = e.span;
             let (e_level, e_id) = (e.level, e.id);
-            stats.invalidated_segs += (e.segs.len() - survivors) as u64;
-            if record {
-                records.push(InvalidateRecord {
+            self.stats.invalidated_segs += (e.segs.len() - survivors) as u64;
+            if self.record {
+                self.recent_invalidations.push(InvalidateRecord {
                     index,
                     level: e_level,
                     set: set_label,
@@ -1084,8 +1107,9 @@ impl IxCache {
                 });
             }
             if survivors == 0 {
-                Self::remove_entry(entries, tags, seg_pool, v);
-                stats.invalidation_kills += 1;
+                Self::remove_entry(entries, tags, &mut self.seg_pool, v);
+                self.resident -= 1;
+                self.stats.invalidation_kills += 1;
             } else {
                 let e = &mut entries[v];
                 e.segs.retain(|(r, _)| !r.overlaps(&range));
@@ -1100,6 +1124,46 @@ impl IxCache {
                 }
             }
         }
+    }
+
+    /// Evicts the CLOCK victim of narrow set `set`, or of the wide
+    /// partition for `None`, to make room for the incoming entry
+    /// `for_entry`. Returns false when the sweep finds no victim.
+    fn evict_one(&mut self, set: Option<usize>, split: bool, for_entry: u64) -> bool {
+        let (entries, tags, hand, set_label) = match set {
+            Some(s) => (
+                &mut self.sets[s],
+                &mut self.narrow_idx[s],
+                &mut self.set_hands[s],
+                s as u32,
+            ),
+            None => (
+                &mut self.wide,
+                &mut self.wide_idx,
+                &mut self.wide_hand,
+                WIDE_SET,
+            ),
+        };
+        let Some(v) = Self::victim_clock(entries, hand) else {
+            return false;
+        };
+        if self.record {
+            let victim = &entries[v];
+            self.recent_evictions.push(EvictRecord {
+                index: victim.index,
+                level: victim.level,
+                set: set_label,
+                reason: Self::evict_reason(victim, split),
+                entry: victim.id,
+                lo: victim.span.lo,
+                hi: victim.span.hi,
+                for_entry,
+            });
+        }
+        Self::remove_entry(entries, tags, &mut self.seg_pool, v);
+        self.resident -= 1;
+        self.stats.evictions += 1;
+        true
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1121,10 +1185,10 @@ impl IxCache {
         // Narrow placement requires the whole range to sit inside one key
         // block: the probe computes its set from the probe key, so a
         // boundary-straddling range would be unfindable from half its keys.
+        // `None` places the entry in the wide partition.
         let b = self.cfg.key_block_bits;
-        let wide = (range.lo >> b) != (range.hi >> b);
-        if !wide {
-            let set_idx = self.set_of(index, range.lo);
+        let set = ((range.lo >> b) == (range.hi >> b)).then(|| self.set_of(index, range.lo));
+        if let Some(set_idx) = set {
             // Case 3: coalesce with a same-level sibling entry if the
             // combined payload still fits one block and stays inside the
             // key block.
@@ -1188,140 +1252,56 @@ impl IxCache {
             pinned: life > 0,
             tick: self.tick,
         };
-        let record = self.record;
-        let pack = if split {
-            PackMode::Split
-        } else {
-            PackMode::Exact
-        };
 
-        if wide {
-            while self.occupancy() >= self.cfg.entries {
-                if let Some(v) = Self::victim_clock(&mut self.wide, &mut self.wide_hand) {
-                    if record {
-                        let victim = &self.wide[v];
-                        self.recent_evictions.push(EvictRecord {
-                            index: victim.index,
-                            level: victim.level,
-                            set: WIDE_SET,
-                            reason: Self::evict_reason(victim, split),
-                            entry: victim.id,
-                            lo: victim.span.lo,
-                            hi: victim.span.hi,
-                            for_entry: id,
-                        });
+        // A failed eviction means everything is pinned: bypass.
+        match set {
+            None => {
+                while self.resident >= self.cfg.entries {
+                    if !self.evict_one(None, split, id) {
+                        return;
                     }
-                    Self::remove_entry(&mut self.wide, &mut self.wide_idx, &mut self.seg_pool, v);
-                    self.stats.evictions += 1;
-                } else {
-                    return; // everything pinned: bypass
                 }
             }
-            if record {
-                self.recent_fills.push(FillRecord {
-                    index,
-                    level,
-                    set: WIDE_SET,
-                    entry: id,
-                    pack,
-                });
-            }
-            // Counted only once placement is certain: a fully pinned
-            // cache bypasses the insert above, and a bypass is not an
-            // insertion (inserts = evictions + flushed + resident).
-            self.stats.inserts += 1;
-            self.wide_idx
-                .add(index, level, entry.span, self.wide.len() as u32);
-            self.wide.push(entry);
-        } else {
-            let set_idx = self.set_of(index, range.lo);
-            let ways = self.cfg.ways;
-            if self.sets[set_idx].len() >= ways {
-                // Associativity conflict: evict within the set.
-                if let Some(v) =
-                    Self::victim_clock(&mut self.sets[set_idx], &mut self.set_hands[set_idx])
-                {
-                    if record {
-                        let victim = &self.sets[set_idx][v];
-                        self.recent_evictions.push(EvictRecord {
-                            index: victim.index,
-                            level: victim.level,
-                            set: set_idx as u32,
-                            reason: Self::evict_reason(victim, split),
-                            entry: victim.id,
-                            lo: victim.span.lo,
-                            hi: victim.span.hi,
-                            for_entry: id,
-                        });
-                    }
-                    Self::remove_entry(
-                        &mut self.sets[set_idx],
-                        &mut self.narrow_idx[set_idx],
-                        &mut self.seg_pool,
-                        v,
-                    );
-                    self.stats.evictions += 1;
-                } else {
-                    return;
-                }
-            } else if self.occupancy() >= self.cfg.entries {
-                // Total budget full: reclaim from the wide partition first.
-                if let Some(v) = Self::victim_clock(&mut self.wide, &mut self.wide_hand) {
-                    if record {
-                        let victim = &self.wide[v];
-                        self.recent_evictions.push(EvictRecord {
-                            index: victim.index,
-                            level: victim.level,
-                            set: WIDE_SET,
-                            reason: Self::evict_reason(victim, split),
-                            entry: victim.id,
-                            lo: victim.span.lo,
-                            hi: victim.span.hi,
-                            for_entry: id,
-                        });
-                    }
-                    Self::remove_entry(&mut self.wide, &mut self.wide_idx, &mut self.seg_pool, v);
-                    self.stats.evictions += 1;
-                } else if let Some(v) =
-                    Self::victim_clock(&mut self.sets[set_idx], &mut self.set_hands[set_idx])
-                {
-                    if record {
-                        let victim = &self.sets[set_idx][v];
-                        self.recent_evictions.push(EvictRecord {
-                            index: victim.index,
-                            level: victim.level,
-                            set: set_idx as u32,
-                            reason: Self::evict_reason(victim, split),
-                            entry: victim.id,
-                            lo: victim.span.lo,
-                            hi: victim.span.hi,
-                            for_entry: id,
-                        });
-                    }
-                    Self::remove_entry(
-                        &mut self.sets[set_idx],
-                        &mut self.narrow_idx[set_idx],
-                        &mut self.seg_pool,
-                        v,
-                    );
-                    self.stats.evictions += 1;
-                } else {
+            // Associativity conflict: evict within the set.
+            Some(s) if self.sets[s].len() >= self.cfg.ways => {
+                if !self.evict_one(set, split, id) {
                     return;
                 }
             }
-            if record {
-                self.recent_fills.push(FillRecord {
-                    index,
-                    level,
-                    set: set_idx as u32,
-                    entry: id,
-                    pack,
-                });
+            // Total budget full: reclaim from the wide partition first.
+            Some(_) => {
+                if self.resident >= self.cfg.entries
+                    && !self.evict_one(None, split, id)
+                    && !self.evict_one(set, split, id)
+                {
+                    return;
+                }
             }
-            self.stats.inserts += 1;
-            self.narrow_idx[set_idx].add(index, level, entry.span, self.sets[set_idx].len() as u32);
-            self.sets[set_idx].push(entry);
         }
+        if self.record {
+            self.recent_fills.push(FillRecord {
+                index,
+                level,
+                set: set.map_or(WIDE_SET, |s| s as u32),
+                entry: id,
+                pack: if split {
+                    PackMode::Split
+                } else {
+                    PackMode::Exact
+                },
+            });
+        }
+        // Counted only once placement is certain: a fully pinned cache
+        // bypasses the insert above, and a bypass is not an insertion
+        // (inserts = evictions + flushed + resident).
+        self.stats.inserts += 1;
+        self.resident += 1;
+        let (entries, tags) = match set {
+            Some(s) => (&mut self.sets[s], &mut self.narrow_idx[s]),
+            None => (&mut self.wide, &mut self.wide_idx),
+        };
+        tags.add(index, level, entry.span, entries.len() as u32);
+        entries.push(entry);
     }
 
     /// Is this exact `(range, node)` slice already resident? Refreshes
@@ -1338,15 +1318,12 @@ impl IxCache {
     fn find_existing(&mut self, index: IndexId, node: u32, range: &KeyRange, level: u8) -> bool {
         let tick = self.tick;
         let set_idx = self.set_of(index, range.lo);
-        let mut scratch = std::mem::take(&mut self.scratch);
         let mut best: Option<(u8, u32)> = None;
         for (part, entries, tags) in [
             (0u8, &self.sets[set_idx], &self.narrow_idx[set_idx]),
             (1u8, &self.wide, &self.wide_idx),
         ] {
-            scratch.clear();
-            tags.stab(index, range.lo, |pos| scratch.push(pos));
-            for &pos in &scratch {
+            tags.stab(index, range.lo, |pos| {
                 let e = &entries[pos as usize];
                 if e.level == level && e.segs.iter().any(|&(r, n)| n == node && r == *range) {
                     let cand = (part, pos);
@@ -1354,10 +1331,8 @@ impl IxCache {
                         best = Some(cand);
                     }
                 }
-            }
+            });
         }
-        scratch.clear();
-        self.scratch = scratch;
         match best {
             Some((0, pos)) => self.sets[set_idx][pos as usize].tick = tick,
             Some((_, pos)) => self.wide[pos as usize].tick = tick,
@@ -1424,7 +1399,7 @@ impl IxCache {
 
     /// Number of valid entries.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum::<usize>() + self.wide.len()
+        self.resident
     }
 
     /// Total entry capacity.
@@ -1453,16 +1428,23 @@ impl IxCache {
             t.clear();
         }
         self.wide_idx.clear();
+        self.resident = 0;
     }
 
     /// Asserts the interval overlays exactly mirror the backing entry
-    /// storage (tests only).
+    /// storage and the maintained occupancy equals a recount (tests
+    /// only).
     #[cfg(test)]
     fn check_interval_index(&self) {
         for (set, tags) in self.sets.iter().zip(&self.narrow_idx) {
             tags.check(set);
         }
         self.wide_idx.check(&self.wide);
+        assert_eq!(
+            self.resident,
+            self.sets.iter().map(Vec::len).sum::<usize>() + self.wide.len(),
+            "maintained occupancy must equal a recount"
+        );
     }
 }
 
@@ -1819,6 +1801,104 @@ mod tests {
             c.check_interval_index();
         }
         assert!(c.stats().probes > 0 && c.stats().evictions > 0);
+    }
+
+    #[test]
+    fn interval_index_at_paper_geometry_through_churn() {
+        use metal_sim::rng::SplitRng;
+        // The 64 kB geometry under a mostly-wide insert mix over two
+        // indexes and twelve levels fills the wide partition to the
+        // ~1000 tags and >10 level runs real B+tree walks produce, with
+        // invalidations and the odd flush in the mix.
+        const KEYS: u64 = 1 << 16;
+        let mut rng = SplitRng::seed_from_u64(0x6e0);
+        let mut c = IxCache::new(IxConfig::kb64());
+        let (mut most_wide, mut most_runs, mut flushes) = (0, 0, 0);
+        for op in 0..6000u32 {
+            let index = (rng.next_u64() % 2) as u8;
+            match rng.next_u64() % 20 {
+                // Narrow inserts (24-byte ones coalesce with siblings).
+                0..=2 => {
+                    let lo = rng.next_u64() % 4096;
+                    let hi = (lo + rng.next_u64() % 8).min(lo | 15);
+                    let bytes = [24, 64][(rng.next_u64() % 2) as usize];
+                    let level = (rng.next_u64() % 3) as u8;
+                    c.insert(index, op, KeyRange::new(lo, hi), level, bytes, 0);
+                }
+                // Wide inserts: exact, split and pinned.
+                3..=17 => {
+                    let lo = rng.next_u64() % KEYS;
+                    let hi = lo + 16 + rng.next_u64() % 2048;
+                    let bytes = [64, 64, 256][(rng.next_u64() % 3) as usize];
+                    let life = [0, 0, 0, 4][(rng.next_u64() % 4) as usize];
+                    let level = (rng.next_u64() % 12) as u8;
+                    c.insert(index, op, KeyRange::new(lo, hi), level, bytes, life);
+                }
+                18 => {
+                    let lo = rng.next_u64() % KEYS;
+                    let level = match rng.next_u64() % 4 {
+                        0 => None,
+                        l => Some(l as u8),
+                    };
+                    c.invalidate_range(index, level, KeyRange::new(lo, lo + 64));
+                }
+                _ => {
+                    if rng.next_u64().is_multiple_of(60) {
+                        c.flush();
+                        flushes += 1;
+                    }
+                }
+            }
+            c.check_interval_index();
+            most_wide = most_wide.max(c.wide.len());
+            most_runs = most_runs.max(c.wide_idx.runs.len());
+            let (index, key) = ((rng.next_u64() % 2) as u8, rng.next_u64() % KEYS);
+            let mut reference = c.clone();
+            assert_eq!(
+                c.probe(index, key),
+                reference.probe_reference(index, key),
+                "probe({index}, {key}) diverged at op {op}"
+            );
+        }
+        let s = c.stats();
+        assert!(
+            most_wide >= 900,
+            "wide partition peaked at {most_wide} tags"
+        );
+        assert!(most_runs >= 10, "wide overlay peaked at {most_runs} runs");
+        assert!(flushes > 0 && s.evictions > 0 && s.coalesced > 0);
+        assert!(s.invalidation_kills > 0 && s.probes > s.misses);
+    }
+
+    /// An overlay just compacted from one full pending buffer: three
+    /// level runs of equal size.
+    fn compacted_overlay() -> IntervalIndex {
+        let mut idx = IntervalIndex::with_capacity(PENDING_MAX);
+        for i in 0..PENDING_MAX as u32 {
+            let lo = u64::from(i) * 10;
+            idx.add(0, (i % 3) as u8, KeyRange::new(lo, lo + 15), i);
+        }
+        assert!(idx.pending.is_empty(), "the last add compacts");
+        assert_eq!(idx.runs.len(), 3);
+        idx.check_structure();
+        idx
+    }
+
+    #[test]
+    #[should_panic(expected = "run directory must name the run starting at tag")]
+    fn structural_check_catches_a_forged_run_start() {
+        let mut idx = compacted_overlay();
+        idx.runs[1] += 1;
+        idx.check_structure();
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix maxima must be exact")]
+    fn structural_check_catches_a_low_prefix_max() {
+        let mut idx = compacted_overlay();
+        let last = idx.prefix_hi.len() - 1;
+        idx.prefix_hi[last] -= 1;
+        idx.check_structure();
     }
 
     #[test]

@@ -758,7 +758,7 @@ impl<'a> DesignModel<'a> {
                 let hit_lat = self.cfg.addr_hit_latency();
                 let miss_lat = self.cfg.tag_latency;
                 let probe = match &mut self.state {
-                    CacheState::XCache(c) => c.probe(req.key),
+                    CacheState::XCache(c) => c.probe(req.index, req.key),
                     _ => unreachable!(),
                 };
                 self.stats.probes += 1;
@@ -785,7 +785,7 @@ impl<'a> DesignModel<'a> {
                         {
                             match &mut self.state {
                                 CacheState::XCache(c) => {
-                                    c.insert(req.key, leaf_id as u64);
+                                    c.insert(req.index, req.key, leaf_id as u64);
                                     self.stats.inserts += 1;
                                     self.charge_cache_access(addr_fj);
                                 }
@@ -905,13 +905,15 @@ impl<'a> DesignModel<'a> {
             CacheState::XCache(c) => {
                 for span in &report.stale {
                     if span.level == 0 {
-                        self.stats.entries_invalidated += c.invalidate_range(span.lo, span.hi);
+                        self.stats.entries_invalidated +=
+                            c.invalidate_range(req.index, span.lo, span.hi);
                     }
                 }
                 if req.op == OpKind::Delete {
                     // The deleted key's own line would stale-hit as
                     // "found" even when no node restructured.
-                    self.stats.entries_invalidated += c.invalidate_range(req.key, req.key);
+                    self.stats.entries_invalidated +=
+                        c.invalidate_range(req.index, req.key, req.key);
                 }
             }
             CacheState::Stream | CacheState::Address(_) | CacheState::FaOpt { .. } => {}

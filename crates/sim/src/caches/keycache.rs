@@ -8,15 +8,20 @@
 //! (0.6–0.95 in the paper's Fig. 15).
 //!
 //! We model it as a set-associative exact-key cache whose payload is the
-//! leaf's block address. As in the paper's setup, the hit path returns data
-//! on a fast path and the miss handlers are ideal (limited only by DRAM
-//! latency).
+//! leaf's block address. A line's tag is the key *and* the index it was
+//! looked up in, so on multi-index workloads (JOIN, R-tree) a key cached
+//! from one index never hits in another. As in the paper's setup, the
+//! hit path returns data on a fast path and the miss handlers are ideal
+//! (limited only by DRAM latency).
 
 use crate::types::Key;
 
 /// Opaque payload a [`KeyCache`] line carries — typically the leaf's node
 /// id or block number; the cache never interprets it.
 pub type LeafToken = u64;
+
+/// Identifier of the index a [`KeyCache`] line was filled from.
+pub type IndexTag = u8;
 
 /// Exact-key → leaf cache (the X-Cache organization).
 #[derive(Debug, Clone)]
@@ -31,8 +36,8 @@ pub struct KeyCache {
 
 #[derive(Debug, Clone, Default)]
 struct Set {
-    /// (key, leaf token, last-use tick).
-    lines: Vec<(Key, LeafToken, u64)>,
+    /// (index, key, leaf token, last-use tick).
+    lines: Vec<(IndexTag, Key, LeafToken, u64)>,
 }
 
 impl KeyCache {
@@ -62,66 +67,74 @@ impl KeyCache {
         (key as usize) % self.sets.len()
     }
 
-    /// Probes for an exact `key`. On a hit the whole walk short-circuits
-    /// and the cached leaf token is returned.
-    pub fn probe(&mut self, key: Key) -> Option<LeafToken> {
+    /// Probes for an exact `key` of index `index`. On a hit the whole
+    /// walk short-circuits and the cached leaf token is returned.
+    pub fn probe(&mut self, index: IndexTag, key: Key) -> Option<LeafToken> {
         self.tick += 1;
         self.probes += 1;
         let set = self.set_of(key);
         let tick = self.tick;
-        if let Some(line) = self.sets[set].lines.iter_mut().find(|(k, _, _)| *k == key) {
-            line.2 = tick;
-            return Some(line.1);
+        if let Some(line) = self.sets[set]
+            .lines
+            .iter_mut()
+            .find(|l| (l.0, l.1) == (index, key))
+        {
+            line.3 = tick;
+            return Some(line.2);
         }
         self.misses += 1;
         None
     }
 
     /// Inserts the leaf found by a miss walk (allocate-on-miss, LRU victim).
-    pub fn insert(&mut self, key: Key, leaf: LeafToken) {
+    pub fn insert(&mut self, index: IndexTag, key: Key, leaf: LeafToken) {
         self.tick += 1;
         self.inserts += 1;
         let set_idx = self.set_of(key);
         let tick = self.tick;
         let ways = self.ways;
         let set = &mut self.sets[set_idx];
-        if let Some(line) = set.lines.iter_mut().find(|(k, _, _)| *k == key) {
-            line.1 = leaf;
-            line.2 = tick;
+        if let Some(line) = set.lines.iter_mut().find(|l| (l.0, l.1) == (index, key)) {
+            line.2 = leaf;
+            line.3 = tick;
             return;
         }
         if set.lines.len() < ways {
-            set.lines.push((key, leaf, tick));
+            set.lines.push((index, key, leaf, tick));
         } else {
             let victim = set
                 .lines
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, (_, _, last))| *last)
+                .min_by_key(|(_, l)| l.3)
                 .map(|(i, _)| i)
                 .expect("full set is non-empty");
-            set.lines[victim] = (key, leaf, tick);
+            set.lines[victim] = (index, key, leaf, tick);
         }
     }
 
-    /// Drops every cached line whose key falls in `[lo, hi]` and returns
-    /// how many died. The mutation coherence hook: X-Cache tags exact
-    /// keys, so a structural change to the span `[lo, hi]` of a mutated
-    /// leaf invalidates exactly the lines inside it.
-    pub fn invalidate_range(&mut self, lo: Key, hi: Key) -> u64 {
+    /// Drops every cached line of `index` whose key falls in `[lo, hi]`
+    /// and returns how many died. The mutation coherence hook: X-Cache
+    /// tags exact keys, so a structural change to the span `[lo, hi]` of
+    /// a mutated leaf invalidates exactly the lines inside it.
+    pub fn invalidate_range(&mut self, index: IndexTag, lo: Key, hi: Key) -> u64 {
         let mut killed = 0u64;
         for set in &mut self.sets {
             let before = set.lines.len();
-            set.lines.retain(|(k, _, _)| *k < lo || *k > hi);
+            set.lines
+                .retain(|&(i, k, _, _)| i != index || k < lo || k > hi);
             killed += (before - set.lines.len()) as u64;
         }
         killed
     }
 
     /// Checks residency without side effects.
-    pub fn peek(&self, key: Key) -> bool {
+    pub fn peek(&self, index: IndexTag, key: Key) -> bool {
         let set = self.set_of(key);
-        self.sets[set].lines.iter().any(|(k, _, _)| *k == key)
+        self.sets[set]
+            .lines
+            .iter()
+            .any(|l| (l.0, l.1) == (index, key))
     }
 
     /// Number of probes issued.
@@ -166,9 +179,9 @@ mod tests {
     #[test]
     fn probe_miss_then_hit_after_insert() {
         let mut c = KeyCache::new(16, 4);
-        assert_eq!(c.probe(42), None);
-        c.insert(42, 7);
-        assert_eq!(c.probe(42), Some(7));
+        assert_eq!(c.probe(0, 42), None);
+        c.insert(0, 42, 7);
+        assert_eq!(c.probe(0, 42), Some(7));
         assert_eq!(c.probes(), 2);
         assert_eq!(c.misses(), 1);
     }
@@ -176,33 +189,46 @@ mod tests {
     #[test]
     fn exact_key_match_only() {
         let mut c = KeyCache::new(16, 4);
-        c.insert(100, 1);
+        c.insert(0, 100, 1);
         // Unlike the IX-cache, a nearby key does NOT hit.
-        assert_eq!(c.probe(101), None);
-        assert_eq!(c.probe(99), None);
-        assert_eq!(c.probe(100), Some(1));
+        assert_eq!(c.probe(0, 101), None);
+        assert_eq!(c.probe(0, 99), None);
+        assert_eq!(c.probe(0, 100), Some(1));
+    }
+
+    #[test]
+    fn indexes_are_isolated() {
+        let mut c = KeyCache::new(16, 4);
+        c.insert(0, 42, 7);
+        // The same key in another index is a different line.
+        assert_eq!(c.probe(1, 42), None);
+        assert!(!c.peek(1, 42));
+        c.insert(1, 42, 9);
+        assert_eq!(c.occupancy(), 2);
+        assert_eq!(c.invalidate_range(1, 0, 100), 1);
+        assert_eq!(c.probe(0, 42), Some(7), "index 0's line survives");
     }
 
     #[test]
     fn insert_updates_existing_line() {
         let mut c = KeyCache::new(4, 4);
-        c.insert(5, 1);
-        c.insert(5, 2);
+        c.insert(0, 5, 1);
+        c.insert(0, 5, 2);
         assert_eq!(c.occupancy(), 1, "same key overwrites, not duplicates");
-        assert_eq!(c.probe(5), Some(2));
+        assert_eq!(c.probe(0, 5), Some(2));
     }
 
     #[test]
     fn lru_eviction_within_set() {
         // 1 set × 2 ways; keys all map to set 0.
         let mut c = KeyCache::new(2, 2);
-        c.insert(0, 10);
-        c.insert(2, 20);
-        assert!(c.probe(0).is_some()); // refresh key 0
-        c.insert(4, 30); // evicts key 2
-        assert!(c.peek(0));
-        assert!(!c.peek(2));
-        assert!(c.peek(4));
+        c.insert(0, 0, 10);
+        c.insert(0, 2, 20);
+        assert!(c.probe(0, 0).is_some()); // refresh key 0
+        c.insert(0, 4, 30); // evicts key 2
+        assert!(c.peek(0, 0));
+        assert!(!c.peek(0, 2));
+        assert!(c.peek(0, 4));
     }
 
     #[test]
@@ -213,11 +239,11 @@ mod tests {
         let mut probes_hit = 0;
         for round in 0..4 {
             for k in 0..1000u64 {
-                if c.probe(k).is_some() {
+                if c.probe(0, k).is_some() {
                     probes_hit += 1;
                 }
-                if round == 0 || !c.peek(k) {
-                    c.insert(k, k);
+                if round == 0 || !c.peek(0, k) {
+                    c.insert(0, k, k);
                 }
             }
         }
@@ -239,13 +265,13 @@ mod tests {
     fn invalidate_range_drops_only_covered_keys() {
         let mut c = KeyCache::new(16, 4);
         for k in [3u64, 10, 11, 20] {
-            c.insert(k, k * 100);
+            c.insert(0, k, k * 100);
         }
-        assert_eq!(c.invalidate_range(10, 15), 2);
-        assert!(c.peek(3));
-        assert!(!c.peek(10) && !c.peek(11));
-        assert!(c.peek(20));
+        assert_eq!(c.invalidate_range(0, 10, 15), 2);
+        assert!(c.peek(0, 3));
+        assert!(!c.peek(0, 10) && !c.peek(0, 11));
+        assert!(c.peek(0, 20));
         assert_eq!(c.occupancy(), 2);
-        assert_eq!(c.invalidate_range(10, 15), 0, "already gone");
+        assert_eq!(c.invalidate_range(0, 10, 15), 0, "already gone");
     }
 }

@@ -14,10 +14,12 @@ use metal_sim::types::BlockAddr;
 
 /// Reference set-associative LRU: `sets × ways` with per-line last-use
 /// timestamps, set selected by `tag % sets` (the baselines' low-bits
-/// rule). Works for both the address cache (tag = block) and the
-/// X-Cache (tag = key).
+/// rule). Works for both the address cache (tag = block, one space) and
+/// the X-Cache (tag = key, one space per index: equal keys of different
+/// indexes are different lines).
 pub struct RefSetLru {
-    sets: Vec<Vec<(u64, u64)>>,
+    /// (space, tag, last use) per line.
+    sets: Vec<Vec<(u8, u64, u64)>>,
     ways: usize,
     tick: u64,
 }
@@ -35,59 +37,47 @@ impl RefSetLru {
 
     /// Probe-with-allocate-on-miss (the address cache's `access`).
     pub fn access(&mut self, tag: u64) -> bool {
-        self.tick += 1;
-        let n_sets = self.sets.len();
-        let set = &mut self.sets[(tag as usize) % n_sets];
-        if let Some(line) = set.iter_mut().find(|(t, _)| *t == tag) {
-            line.1 = self.tick;
+        if self.probe(0, tag) {
             return true;
         }
-        if set.len() >= self.ways {
-            let victim = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, last))| *last)
-                .map(|(i, _)| i)
-                .unwrap();
-            set.remove(victim);
-        }
-        set.push((tag, self.tick));
+        self.insert(0, tag);
         false
     }
 
-    /// Probe without allocation (the X-Cache's `probe`).
-    pub fn probe(&mut self, tag: u64) -> bool {
+    /// Probe `tag` in `space` without allocation (the X-Cache's
+    /// `probe`).
+    pub fn probe(&mut self, space: u8, tag: u64) -> bool {
         self.tick += 1;
         let n_sets = self.sets.len();
         let set = &mut self.sets[(tag as usize) % n_sets];
-        if let Some(line) = set.iter_mut().find(|(t, _)| *t == tag) {
-            line.1 = self.tick;
+        if let Some(line) = set.iter_mut().find(|l| (l.0, l.1) == (space, tag)) {
+            line.2 = self.tick;
             return true;
         }
         false
     }
 
-    /// Explicit insert (the X-Cache's allocate path; replaces in place
-    /// on a duplicate tag).
-    pub fn insert(&mut self, tag: u64) {
+    /// Explicit insert of `tag` in `space` (the X-Cache's allocate
+    /// path; replaces in place on a duplicate tag).
+    pub fn insert(&mut self, space: u8, tag: u64) {
         self.tick += 1;
         let ways = self.ways;
         let n_sets = self.sets.len();
         let set = &mut self.sets[(tag as usize) % n_sets];
-        if let Some(line) = set.iter_mut().find(|(t, _)| *t == tag) {
-            line.1 = self.tick;
+        if let Some(line) = set.iter_mut().find(|l| (l.0, l.1) == (space, tag)) {
+            line.2 = self.tick;
             return;
         }
         if set.len() >= ways {
             let victim = set
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, (_, last))| *last)
+                .min_by_key(|(_, l)| l.2)
                 .map(|(i, _)| i)
                 .unwrap();
             set.remove(victim);
         }
-        set.push((tag, self.tick));
+        set.push((space, tag, self.tick));
     }
 }
 
@@ -137,27 +127,27 @@ pub fn check_address_differential(
 }
 
 /// Differential: `KeyCache` probe/insert mix vs the reference set-LRU.
-/// `ops` alternate probes and allocate-on-miss inserts exactly as the
-/// X-Cache design model drives it.
+/// Each `(index, key)` is probed, then inserted on a miss, exactly as
+/// the X-Cache design model drives it.
 pub fn check_keycache_differential(
-    keys: &[u64],
+    keys: &[(u8, u64)],
     entries: usize,
     ways: usize,
 ) -> Result<(), TraceDivergence> {
     let mut real = KeyCache::new(entries, ways);
     let mut reference = RefSetLru::new(entries, ways);
-    for (i, &k) in keys.iter().enumerate() {
-        let r = real.probe(k).is_some();
-        let e = reference.probe(k);
+    for (i, &(index, k)) in keys.iter().enumerate() {
+        let r = real.probe(index, k).is_some();
+        let e = reference.probe(index, k);
         if r != e {
             return fail(
                 i,
-                format!("key probe({k}): reference says hit={e}, cache says hit={r}"),
+                format!("key probe({index}, {k}): reference says hit={e}, cache says hit={r}"),
             );
         }
         if !r {
-            real.insert(k, k);
-            reference.insert(k);
+            real.insert(index, k, k);
+            reference.insert(index, k);
         }
     }
     Ok(())
@@ -257,7 +247,12 @@ pub fn check_baselines_case(seed: u64) -> Result<(), TraceDivergence> {
         trace.push(b);
     }
     check_address_differential(&trace, entries, ways)?;
-    check_keycache_differential(&trace, entries, ways)?;
+    // Two indexes: equal keys of different indexes must not alias.
+    let keyed: Vec<(u8, u64)> = trace
+        .iter()
+        .map(|&k| (rng.gen_range(0..2u64) as u8, k))
+        .collect();
+    check_keycache_differential(&keyed, entries, ways)?;
     check_opt_sanity(&trace, entries.max(1))
 }
 
