@@ -33,8 +33,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "== tier-1: cargo build --release =="
 cargo build --release
 
-# The root-package tests are covered by the workspace run below; build
-# test targets first so the timed run is compile-free.
+# Tier-1 (`cargo build --release && cargo test -q`) covers the whole
+# workspace through `default-members`; this pass reruns every test
+# single-threaded. Build test targets first so the timed run is
+# compile-free.
 echo "== full workspace tests (single-threaded) =="
 cargo test -q --workspace --no-run
 cargo test -q --workspace -- --test-threads=1

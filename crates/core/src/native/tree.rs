@@ -1,37 +1,34 @@
-//! Out-of-core B+tree over a [`BlockFile`], cross-validated against the
-//! in-memory [`BPlusTree`].
+//! Out-of-core B+tree over a [`BlockFile`].
 //!
-//! A [`PagedTree`] is materialized from a pristine `BPlusTree` so that
-//! **node ids, simulated addresses and mutation behaviour are identical**
-//! to the simulator's: ids are assigned in the same order, the arena is
-//! replayed allocation-for-allocation (so `NodeInfo.addr`/`bytes` match
-//! byte-for-byte, which keeps descriptor and tuner decisions aligned),
-//! and every structural-mutation routine below is a line-for-line port
-//! of the `BPlusTree` original onto read-node/store-node paged access.
-//! The backend-equivalence suite and the native fuzz arm exist to keep
-//! that claim honest.
+//! A [`PagedTree`] is a built [`BPlusTree`]'s [`Geometry`] over a
+//! different [`NodeStore`]: the nodes live in block-file extents instead
+//! of a vector. Walks and mutations run the `metal-index` routines
+//! themselves (`Geometry::descend`, `Geometry::insert_key`,
+//! `Geometry::delete_key`), so node ids, simulated addresses and
+//! mutation reports equal the simulator's by construction. Materializing
+//! clones the tree's geometry, arena included, and encodes every live
+//! node into its own extent.
 //!
-//! Node contents live in block-file extents; the only per-node state held
-//! in memory is a small placement record (`NodeMeta`). A *hot map*
-//! mirrors the IX-cache's admissions with deserialized nodes so a cache
-//! hit resolves its node pointer without touching the page layer — the
-//! "software fast path" the native backend measures. Nodes merged away
-//! have their extents returned to the free list; their emptied contents
-//! survive as in-memory tombstones so a racing cached pointer resolves
-//! exactly as it does in the simulator (which keeps dead nodes in its
-//! node vector).
+//! The page store keeps three in-memory layers in front of the pages. A
+//! *hot map* mirrors the IX-cache's admissions with decoded nodes, so a
+//! cache hit resolves its node pointer without touching the page layer
+//! — the "software fast path" the native backend measures. A prefetch
+//! *stage* holds nodes MLP scouts decoded ahead of demand. Nodes merged
+//! away have their extents returned to the free list; their emptied
+//! contents stay in memory as tombstones, so a racing cached pointer
+//! resolves exactly as it does in the simulator (which keeps dead nodes
+//! in its node vector). Reads borrow from whichever layer holds the
+//! node; a write updates the hot copy in place, stores the page and
+//! drops the stage.
 
 use super::blockfile::{BlockFile, BlockFileError, Result};
-use super::codec::{PagedKind, PagedNode};
-use metal_index::bptree::{BPlusTree, MutationReport, StaleSpan};
+use metal_index::bptree::{
+    BPlusTree, ByteReader, Geometry, MutationReport, Node, NodeKind, NodeStore,
+};
 use metal_index::walk::Descend;
-use metal_index::{Arena, NodeId, NodeInfo};
-use metal_sim::obs::MutKind;
-use metal_sim::types::{Addr, Key};
+use metal_index::{NodeId, NodeInfo};
+use metal_sim::types::Key;
 use std::collections::HashMap;
-
-/// Per-node byte-size model, mirrored from `metal-index::bptree`.
-const NODE_HEADER_BYTES: u64 = 16;
 
 /// Capacity of the prefetch stage (decoded nodes scouts read ahead of
 /// demand). Bounds scout memory; overflowing prefetches are dropped,
@@ -55,24 +52,23 @@ fn prefetch_hint<T>(p: *const T) {
 }
 
 /// Directory-blob version tag.
-const DIR_VERSION: u32 = 1;
+const DIR_VERSION: u32 = 2;
+/// Bytes of the smallest node-table entry: a tag and a page.
+const DIR_SLOT_BYTES: usize = 1 + 8;
 
-/// In-memory placement record of one node.
-#[derive(Debug, Clone, Copy)]
-struct NodeMeta {
-    /// Head page of the node's extent (meaningless when `dead`).
-    page: u64,
-    /// Arena slot (== node id; kept explicit for clarity).
-    slot: usize,
-    /// True once the node was merged away: its extent is freed and its
-    /// emptied contents live in the tombstone map.
-    dead: bool,
+/// Where node `id` lives.
+#[derive(Debug)]
+enum Slot {
+    /// Head page of the node's extent.
+    Page(u64),
+    /// A merged-away node: extent freed, emptied contents kept here.
+    Tomb(Box<Node>),
 }
 
 /// Page-layer access counters for one tree.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TreeIoStats {
-    /// Node reads served from the hot map (no page touched).
+    /// Node reads served from the hot map or a tombstone (no page touched).
     pub hot_hits: u64,
     /// Node reads that deserialized from the page layer.
     pub cold_reads: u64,
@@ -99,6 +95,147 @@ pub(crate) fn ns_since(t0: std::time::Instant) -> u64 {
     t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
+/// The [`NodeStore`] of a [`PagedTree`]: block-file extents behind the
+/// hot map, the prefetch stage and the tombstones.
+#[derive(Debug)]
+struct PageStore {
+    file: BlockFile,
+    slots: Vec<Slot>,
+    /// Decoded nodes mirroring current IX-cache residents.
+    hot: HashMap<NodeId, Node>,
+    /// Nodes MLP scouts read ahead of demand ([`STAGE_CAP`]-bounded).
+    /// Cleared wholesale on every write and kill — the cheap, obviously
+    /// correct staleness guard (see `native::backend` module docs).
+    stage: HashMap<NodeId, Node>,
+    io: TreeIoStats,
+}
+
+impl PageStore {
+    fn new(file: BlockFile, slots: Vec<Slot>) -> Self {
+        PageStore {
+            file,
+            slots,
+            hot: HashMap::new(),
+            stage: HashMap::new(),
+            io: TreeIoStats::default(),
+        }
+    }
+
+    /// Head page of live node `id`.
+    fn live_page(&self, id: NodeId) -> Result<u64> {
+        match self.slots.get(id as usize) {
+            Some(Slot::Page(page)) => Ok(*page),
+            _ => Err(BlockFileError::new(format!(
+                "{}: node {id} is not a live node (tree has {})",
+                self.file.path().display(),
+                self.slots.len()
+            ))),
+        }
+    }
+
+    /// Loads and decodes node `id` from `page` (through
+    /// [`BlockFile::prefetch`] when `ahead`), timing both phases.
+    fn load(&mut self, id: NodeId, page: u64, ahead: bool) -> Result<Node> {
+        let t0 = std::time::Instant::now();
+        let payload = if ahead {
+            self.file.prefetch(page)
+        } else {
+            self.file.load(page)
+        }
+        .map_err(|e| BlockFileError {
+            context: format!("node {id}: {}", e.context),
+            ..e
+        })?;
+        self.io.page_read_ns += ns_since(t0);
+        let t0 = std::time::Instant::now();
+        let node = Node::decode(&payload).map_err(|e| {
+            BlockFileError::new(format!(
+                "{}: node {id} (page {page}): {e}",
+                self.file.path().display()
+            ))
+        })?;
+        self.io.decode_ns += ns_since(t0);
+        Ok(node)
+    }
+
+    /// Takes live node `id` out of the stage, or decodes it from `page`
+    /// (hot copies stay where they are).
+    fn take_cold(&mut self, id: NodeId, page: u64) -> Result<Node> {
+        if let Some(n) = self.stage.remove(&id) {
+            self.io.staged_hits += 1;
+            return Ok(n);
+        }
+        let n = self.load(id, page, false)?;
+        self.io.cold_reads += 1;
+        Ok(n)
+    }
+}
+
+impl NodeStore for PageStore {
+    type Error = BlockFileError;
+
+    fn read<R>(&mut self, id: NodeId, f: impl FnOnce(&Node) -> R) -> Result<R> {
+        if let Some(n) = self.hot.get(&id) {
+            self.io.hot_hits += 1;
+            return Ok(f(n));
+        }
+        if let Some(n) = self.stage.get(&id) {
+            self.io.staged_hits += 1;
+            return Ok(f(n));
+        }
+        if let Some(Slot::Tomb(n)) = self.slots.get(id as usize) {
+            self.io.hot_hits += 1;
+            return Ok(f(n));
+        }
+        let page = self.live_page(id)?;
+        Ok(f(&self.take_cold(id, page)?))
+    }
+
+    fn write<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Node) -> R) -> Result<R> {
+        let page = self.live_page(id)?;
+        let (out, payload) = match self.hot.get_mut(&id) {
+            Some(n) => {
+                self.io.hot_hits += 1;
+                (f(n), n.encode())
+            }
+            None => {
+                let mut n = self.take_cold(id, page)?;
+                (f(&mut n), n.encode())
+            }
+        };
+        let page = self.file.update(page, &payload)?;
+        self.slots[id as usize] = Slot::Page(page);
+        // Staged nodes were decoded before this write and must never
+        // shadow the page layer's current contents. (The hot map is
+        // updated in place instead — it mirrors cache residency.)
+        self.stage.clear();
+        self.io.node_writes += 1;
+        Ok(out)
+    }
+
+    fn alloc(&mut self, node: Node) -> Result<NodeId> {
+        let page = self.file.store(&node.encode())?;
+        self.slots.push(Slot::Page(page));
+        Ok((self.slots.len() - 1) as NodeId)
+    }
+
+    fn kill(&mut self, id: NodeId) -> Result<NodeKind> {
+        let page = self.live_page(id)?;
+        let mut node = match self.hot.remove(&id) {
+            Some(n) => {
+                self.io.hot_hits += 1;
+                n
+            }
+            None => self.take_cold(id, page)?,
+        };
+        let contents = node.kill();
+        self.file.free_extent(page)?;
+        self.slots[id as usize] = Slot::Tomb(Box::new(node));
+        self.stage.clear();
+        Ok(contents)
+    }
+}
+
 /// A B+tree whose nodes live in page-aligned block-file extents.
 ///
 /// # Example
@@ -120,152 +257,70 @@ pub(crate) fn ns_since(t0: std::time::Instant) -> u64 {
 /// assert_eq!(path.len(), paged.depth() as usize, "root-to-leaf path");
 /// assert!(paged.file_stats().pages_read > 0, "the walk came off pages");
 ///
-/// // Mutations restructure the paged tree exactly like the in-memory
-/// // original (the report carries splits/merges and stale spans).
+/// // Mutations run the in-memory tree's own algorithm (the report
+/// // carries splits/merges and stale spans).
 /// let report = paged.insert_key(43).unwrap();
 /// assert!(report.applied);
 /// ```
 #[derive(Debug)]
 pub struct PagedTree {
-    file: BlockFile,
-    meta: Vec<NodeMeta>,
-    /// Replica of the simulator's bump allocator: same allocations in
-    /// the same order, so simulated addresses and byte sizes match.
-    arena: Arena,
-    root: NodeId,
-    depth: u8,
-    leaf_cap: usize,
-    fanout: usize,
-    n_keys: u64,
-    next_rank: u64,
-    data_base: Addr,
-    record_bytes: u64,
-    value_heap_end: u64,
-    mut_ready: bool,
-    /// First node id allocated past the value heap (persisted so the
-    /// arena replay stays exact across reopen).
-    mut_boundary: Option<NodeId>,
-    /// Deserialized nodes mirroring current IX-cache residents.
-    hot: HashMap<NodeId, PagedNode>,
-    /// Nodes MLP scouts read ahead of demand ([`STAGE_CAP`]-bounded).
-    /// Cleared wholesale on any applied mutation — the cheap, obviously
-    /// correct staleness guard (see `native::backend` module docs).
-    stage: HashMap<NodeId, PagedNode>,
-    /// Emptied contents of merged-away nodes (extent freed).
-    tombstones: HashMap<NodeId, PagedNode>,
-    io: TreeIoStats,
-}
-
-/// Records `[lo, hi]` as stale at `level` and every level below it
-/// (mirrors the `metal-index` original, which is private).
-fn push_stale(report: &mut MutationReport, level: u8, lo: Key, hi: Key, op: MutKind) {
-    for l in (0..=level).rev() {
-        report.stale.push(StaleSpan {
-            level: l,
-            lo,
-            hi,
-            op,
-        });
-    }
+    geo: Geometry,
+    store: PageStore,
 }
 
 impl PagedTree {
-    /// Materializes `tree` into `file`, node by node in id order. The
-    /// tree must be the pristine (pre-mutation) experiment index — the
-    /// same starting point the simulator clones before replaying writes.
+    /// Materializes `tree` into `file`, node by node in id order, with
+    /// `tree`'s geometry — the same starting point the simulator clones
+    /// before replaying writes.
     pub fn materialize(tree: &BPlusTree, mut file: BlockFile) -> Result<Self> {
-        let shape = tree.shape();
-        let mut arena = Arena::new(shape.arena_base);
-        let mut meta = Vec::with_capacity(metal_index::WalkIndex::node_count(tree));
-        let mut tombstones = HashMap::new();
-        let mut mut_boundary = None;
-        let mut replica_ready = false;
-        for id in 0..metal_index::WalkIndex::node_count(tree) as NodeId {
-            let e = tree.export_node(id);
-            if shape.mut_ready && !replica_ready && e.addr.get() >= shape.value_heap_end {
-                arena.skip_to(Addr::new(shape.value_heap_end));
-                replica_ready = true;
-                mut_boundary = Some(id);
-            }
-            let slot = arena.alloc(e.bytes);
-            debug_assert_eq!(
-                arena.addr(slot),
-                e.addr,
-                "arena replay diverged at node {id}"
-            );
-            let node = PagedNode::from_export(&e);
-            let (page, dead) = if e.dead {
-                tombstones.insert(id, node);
-                (u64::MAX, true)
-            } else {
-                (file.store(&node.encode())?, false)
-            };
-            meta.push(NodeMeta { page, slot, dead });
-        }
+        let slots = tree
+            .nodes()
+            .iter()
+            .map(|n| {
+                Ok(if n.dead {
+                    Slot::Tomb(Box::new(n.clone()))
+                } else {
+                    Slot::Page(file.store(&n.encode())?)
+                })
+            })
+            .collect::<Result<_>>()?;
         Ok(PagedTree {
-            file,
-            meta,
-            arena,
-            root: shape.root,
-            depth: shape.depth,
-            leaf_cap: shape.leaf_cap,
-            fanout: shape.fanout,
-            n_keys: shape.n_keys,
-            next_rank: shape.next_rank,
-            data_base: shape.data_base,
-            record_bytes: shape.record_bytes,
-            value_heap_end: shape.value_heap_end,
-            mut_ready: shape.mut_ready,
-            mut_boundary,
-            hot: HashMap::new(),
-            stage: HashMap::new(),
-            tombstones,
-            io: TreeIoStats::default(),
+            geo: tree.geometry().clone(),
+            store: PageStore::new(file, slots),
         })
     }
 
-    /// Writes the tree directory (scalars, per-node placements,
-    /// tombstones) into the file and records it in the superblock, so
+    /// Writes the tree directory — the geometry, then per node a tag and
+    /// its page (live) or its encoded tombstone (dead) — into the file and records it in the superblock, so
     /// [`PagedTree::reopen`] can rebuild this tree.
     pub fn persist(&mut self) -> Result<()> {
-        let mut blob = Vec::new();
-        blob.extend_from_slice(&DIR_VERSION.to_le_bytes());
-        blob.extend_from_slice(&self.root.to_le_bytes());
-        blob.push(self.depth);
-        blob.push(self.mut_ready as u8);
-        blob.extend_from_slice(&(self.leaf_cap as u64).to_le_bytes());
-        blob.extend_from_slice(&(self.fanout as u64).to_le_bytes());
-        blob.extend_from_slice(&self.n_keys.to_le_bytes());
-        blob.extend_from_slice(&self.next_rank.to_le_bytes());
-        blob.extend_from_slice(&self.arena.base().get().to_le_bytes());
-        blob.extend_from_slice(&self.data_base.get().to_le_bytes());
-        blob.extend_from_slice(&self.record_bytes.to_le_bytes());
-        blob.extend_from_slice(&self.value_heap_end.to_le_bytes());
-        blob.extend_from_slice(&self.mut_boundary.unwrap_or(NodeId::MAX).to_le_bytes());
-        blob.extend_from_slice(&(self.meta.len() as u32).to_le_bytes());
-        for (id, m) in self.meta.iter().enumerate() {
-            blob.extend_from_slice(&m.page.to_le_bytes());
-            blob.extend_from_slice(&self.arena.bytes(m.slot).to_le_bytes());
-            blob.push(m.dead as u8);
-            let _ = id;
+        let mut blob = DIR_VERSION.to_le_bytes().to_vec();
+        self.geo.encode(&mut blob);
+        for slot in &self.store.slots {
+            match slot {
+                Slot::Page(page) => {
+                    blob.push(0);
+                    blob.extend_from_slice(&page.to_le_bytes());
+                }
+                Slot::Tomb(node) => {
+                    let enc = node.encode();
+                    blob.push(1);
+                    blob.extend_from_slice(&(enc.len() as u32).to_le_bytes());
+                    blob.extend_from_slice(&enc);
+                }
+            }
         }
-        blob.extend_from_slice(&(self.tombstones.len() as u32).to_le_bytes());
-        let mut ids: Vec<&NodeId> = self.tombstones.keys().collect();
-        ids.sort();
-        for id in ids {
-            let enc = self.tombstones[id].encode();
-            blob.extend_from_slice(&id.to_le_bytes());
-            blob.extend_from_slice(&(enc.len() as u32).to_le_bytes());
-            blob.extend_from_slice(&enc);
+        let file = &mut self.store.file;
+        if let Some(old) = file.root()? {
+            file.free_extent(old)?;
         }
-        if let Some(old) = self.file.root()? {
-            self.file.free_extent(old)?;
-        }
-        let page = self.file.store(&blob)?;
-        self.file.set_root(page)
+        let page = file.store(&blob)?;
+        file.set_root(page)
     }
 
     /// Rebuilds a persisted tree from `file` (see [`PagedTree::persist`]).
+    /// A directory that is truncated or names nodes inconsistently is an
+    /// error, never a panic or an unbounded allocation.
     pub fn reopen(mut file: BlockFile) -> Result<Self> {
         let page = file.root()?.ok_or_else(|| {
             BlockFileError::new(format!(
@@ -274,265 +329,97 @@ impl PagedTree {
             ))
         })?;
         let blob = file.load(page)?;
-        let bad = |what: &str| {
+        let (geo, slots) = parse_directory(&blob).map_err(|e| {
             BlockFileError::new(format!(
-                "{}: malformed tree directory: {what}",
+                "{}: malformed tree directory: {e}",
                 file.path().display()
             ))
-        };
-        let mut r = DirReader {
-            bytes: &blob,
-            pos: 0,
-        };
-        if r.u32().map_err(|e| bad(&e))? != DIR_VERSION {
-            return Err(bad("unknown directory version"));
-        }
-        let root = r.u32().map_err(|e| bad(&e))?;
-        let depth = r.u8().map_err(|e| bad(&e))?;
-        let mut_ready = r.u8().map_err(|e| bad(&e))? != 0;
-        let leaf_cap = r.u64().map_err(|e| bad(&e))? as usize;
-        let fanout = r.u64().map_err(|e| bad(&e))? as usize;
-        let n_keys = r.u64().map_err(|e| bad(&e))?;
-        let next_rank = r.u64().map_err(|e| bad(&e))?;
-        let arena_base = r.u64().map_err(|e| bad(&e))?;
-        let data_base = r.u64().map_err(|e| bad(&e))?;
-        let record_bytes = r.u64().map_err(|e| bad(&e))?;
-        let value_heap_end = r.u64().map_err(|e| bad(&e))?;
-        let boundary = r.u32().map_err(|e| bad(&e))?;
-        let mut_boundary = (boundary != NodeId::MAX).then_some(boundary);
-        let n_nodes = r.u32().map_err(|e| bad(&e))? as usize;
-        let mut arena = Arena::new(Addr::new(arena_base));
-        let mut meta = Vec::with_capacity(n_nodes);
-        for id in 0..n_nodes {
-            let page = r.u64().map_err(|e| bad(&e))?;
-            let bytes = r.u64().map_err(|e| bad(&e))?;
-            let dead = r.u8().map_err(|e| bad(&e))? != 0;
-            if mut_boundary == Some(id as NodeId) {
-                arena.skip_to(Addr::new(value_heap_end));
-            }
-            let slot = arena.alloc(bytes);
-            meta.push(NodeMeta { page, slot, dead });
-        }
-        let n_tomb = r.u32().map_err(|e| bad(&e))? as usize;
-        let mut tombstones = HashMap::with_capacity(n_tomb);
-        for _ in 0..n_tomb {
-            let id = r.u32().map_err(|e| bad(&e))?;
-            let len = r.u32().map_err(|e| bad(&e))? as usize;
-            let enc = r.take(len).map_err(|e| bad(&e))?;
-            let node = PagedNode::decode(enc).map_err(|e| bad(&e))?;
-            tombstones.insert(id, node);
-        }
+        })?;
         Ok(PagedTree {
-            file,
-            meta,
-            arena,
-            root,
-            depth,
-            leaf_cap,
-            fanout,
-            n_keys,
-            next_rank,
-            data_base: Addr::new(data_base),
-            record_bytes,
-            value_heap_end,
-            mut_ready,
-            mut_boundary,
-            hot: HashMap::new(),
-            stage: HashMap::new(),
-            tombstones,
-            io: TreeIoStats::default(),
+            geo,
+            store: PageStore::new(file, slots),
         })
     }
 
     /// Root node id.
     pub fn root(&self) -> NodeId {
-        self.root
+        self.geo.root()
     }
 
     /// Number of levels.
     pub fn depth(&self) -> u8 {
-        self.depth
+        self.geo.depth()
     }
 
     /// Number of keys indexed.
     pub fn len(&self) -> u64 {
-        self.n_keys
+        self.geo.n_keys()
     }
 
     /// Whether the tree indexes no keys.
     pub fn is_empty(&self) -> bool {
-        self.n_keys == 0
+        self.geo.n_keys() == 0
     }
 
     /// Total nodes ever created (dead ones included; ids are positional).
     pub fn node_count(&self) -> usize {
-        self.meta.len()
+        self.store.slots.len()
     }
 
     /// Page-layer access counters.
     pub fn io_stats(&self) -> TreeIoStats {
-        self.io
+        self.store.io
     }
 
     /// Block-file I/O counters.
     pub fn file_stats(&self) -> super::blockfile::BlockStats {
-        self.file.stats()
+        self.store.file.stats()
     }
 
-    /// Modeled byte size of node `id` (from the arena replica; no page
-    /// read).
+    /// Modeled byte size of node `id` (from the arena; no page read).
     pub fn node_bytes(&self, id: NodeId) -> u64 {
-        self.arena.bytes(self.meta[id as usize].slot)
+        self.geo.arena().bytes(id as usize)
     }
 
     /// Modeled DRAM blocks the tree's nodes occupy (matches the
     /// simulator's `index_blocks` accounting).
     pub fn total_blocks(&self) -> u64 {
-        self.arena.total_blocks()
+        self.geo.arena().total_blocks()
     }
 
     /// Pages in the backing block file.
     pub fn page_count(&self) -> u64 {
-        self.file.page_count()
+        self.store.file.page_count()
     }
 
     /// Pages currently on the free list.
     pub fn free_pages(&self) -> u64 {
-        self.file.free_pages()
+        self.store.file.free_pages()
     }
 
     /// Consumes the tree, returning its block file (e.g. to persist and
     /// reopen it).
     pub fn into_file(self) -> BlockFile {
-        self.file
+        self.store.file
     }
 
     /// Reads node `id`: from the hot map when the IX-cache keeps it
     /// resident, from the prefetch stage when an MLP scout read it
     /// ahead of demand, from its tombstone when merged away, else
     /// deserialized from the page layer.
-    pub fn read_node(&mut self, id: NodeId) -> Result<PagedNode> {
-        if let Some(n) = self.hot.get(&id) {
-            self.io.hot_hits += 1;
-            return Ok(n.clone());
-        }
-        if let Some(n) = self.stage.get(&id) {
-            self.io.staged_hits += 1;
-            return Ok(n.clone());
-        }
-        let m = self.meta.get(id as usize).copied().ok_or_else(|| {
-            BlockFileError::new(format!(
-                "node {id} out of range (tree has {})",
-                self.meta.len()
-            ))
-        })?;
-        if m.dead {
-            self.io.hot_hits += 1;
-            return Ok(self.tombstones[&id].clone());
-        }
-        let t0 = std::time::Instant::now();
-        let payload = self.file.load(m.page)?;
-        self.io.page_read_ns += ns_since(t0);
-        let t0 = std::time::Instant::now();
-        let node = PagedNode::decode(&payload).map_err(|e| {
-            BlockFileError::new(format!(
-                "{}: node {id} (page {}): {e}",
-                self.file.path().display(),
-                m.page
-            ))
-        })?;
-        self.io.decode_ns += ns_since(t0);
-        self.io.cold_reads += 1;
-        Ok(node)
+    pub fn read_node(&mut self, id: NodeId) -> Result<Node> {
+        self.store.read(id, Node::clone)
     }
 
-    /// Writes node `id` back to its extent (relocating when it outgrew
-    /// it) and refreshes the hot copy if one is resident.
-    fn store_node(&mut self, id: NodeId, node: &PagedNode) -> Result<()> {
-        let m = self.meta[id as usize];
-        debug_assert!(!m.dead, "dead nodes are tombstones, not extents");
-        let page = self.file.update(m.page, &node.encode())?;
-        self.meta[id as usize].page = page;
-        if let Some(h) = self.hot.get_mut(&id) {
-            *h = node.clone();
-        }
-        // Any write invalidates the prefetch stage wholesale: staged
-        // nodes were decoded pre-mutation and must never shadow the
-        // page layer's current contents. (The hot map above is updated
-        // in place instead — it mirrors cache residency, not a hint.)
-        self.stage.clear();
-        self.io.node_writes += 1;
-        Ok(())
+    /// [`NodeInfo`] for a node already in hand (placement from the
+    /// arena, the rest from the node itself).
+    pub fn info_of(&self, id: NodeId, node: &Node) -> NodeInfo {
+        self.geo.info(id, node)
     }
 
-    /// Allocates a fresh node (arena slot + extent) and returns its id.
-    fn push_node(&mut self, node: PagedNode, bytes: u64) -> Result<NodeId> {
-        let slot = self.arena.alloc(bytes);
-        let id = self.meta.len() as NodeId;
-        debug_assert_eq!(slot, id as usize, "slot == id invariant");
-        let page = self.file.store(&node.encode())?;
-        self.meta.push(NodeMeta {
-            page,
-            slot,
-            dead: false,
-        });
-        Ok(id)
-    }
-
-    /// Kills a merged-away node: frees its extent and keeps the emptied
-    /// contents as a tombstone (the simulator keeps dead nodes in its
-    /// node vec; a stale cached pointer must resolve identically here).
-    fn kill_node(&mut self, id: NodeId, emptied: PagedNode) -> Result<()> {
-        let m = self.meta[id as usize];
-        self.file.free_extent(m.page)?;
-        self.meta[id as usize].dead = true;
-        self.hot.remove(&id);
-        self.stage.clear();
-        self.tombstones.insert(id, emptied);
-        Ok(())
-    }
-
-    /// [`NodeInfo`] for a node already in hand (placement from the arena
-    /// replica, the rest from the node itself).
-    pub fn info_of(&self, id: NodeId, node: &PagedNode) -> NodeInfo {
-        let m = &self.meta[id as usize];
-        NodeInfo {
-            addr: self.arena.addr(m.slot),
-            bytes: self.arena.bytes(m.slot),
-            level: node.level,
-            lo: node.lo,
-            hi: node.hi,
-            keys: node.key_count(),
-        }
-    }
-
-    /// Simulated `(addr, bytes)` of node `id` (the DRAM write-back pair
-    /// the mutation report records).
-    fn node_write(&self, id: NodeId) -> (Addr, u64) {
-        let slot = self.meta[id as usize].slot;
-        (self.arena.addr(slot), self.arena.bytes(slot))
-    }
-
-    /// Searches `node` for `key` exactly as `BPlusTree::descend` does.
-    pub fn descend_in(&self, node: &PagedNode, key: Key) -> Descend {
-        match &node.kind {
-            PagedKind::Interior { seps, children } => {
-                let idx = seps.partition_point(|&s| s <= key);
-                Descend::Child(children[idx])
-            }
-            PagedKind::Leaf { keys, ranks, .. } => match keys.binary_search(&key) {
-                Ok(pos) => Descend::Leaf {
-                    found: true,
-                    value_addr: Addr::new(self.data_base.get() + ranks[pos] * self.record_bytes),
-                    value_bytes: self.record_bytes,
-                },
-                Err(_) => Descend::Leaf {
-                    found: false,
-                    value_addr: self.data_base,
-                    value_bytes: 0,
-                },
-            },
-        }
+    /// Searches `node` for `key` (the in-memory tree's own search).
+    pub fn descend_in(&self, node: &Node, key: Key) -> Descend {
+        self.geo.descend(node, key)
     }
 
     /// The root-to-leaf node path for `key` starting at `from`, with the
@@ -543,13 +430,14 @@ impl PagedTree {
         from: NodeId,
         key: Key,
     ) -> Result<(Vec<(NodeId, NodeInfo)>, Descend)> {
-        let mut path = Vec::with_capacity(self.depth as usize);
+        let mut path = Vec::with_capacity(self.geo.depth() as usize);
         let mut id = from;
         loop {
-            let node = self.read_node(id)?;
-            let info = self.info_of(id, &node);
+            let (info, step) = self
+                .store
+                .read(id, |n| (self.geo.info(id, n), self.geo.descend(n, key)))?;
             path.push((id, info));
-            match self.descend_in(&node, key) {
+            match step {
                 Descend::Child(c) => id = c,
                 leaf @ Descend::Leaf { .. } => return Ok((path, leaf)),
             }
@@ -561,19 +449,15 @@ impl PagedTree {
         let mut out = Vec::with_capacity(hops as usize);
         let mut cur = first;
         for _ in 0..hops {
-            let node = self.read_node(cur)?;
-            let next = match &node.kind {
-                PagedKind::Leaf { next, .. } => *next,
-                PagedKind::Interior { .. } => None,
+            let next = self.store.read(cur, |n| match &n.kind {
+                NodeKind::Leaf { next, .. } => *next,
+                NodeKind::Interior { .. } => None,
+            })?;
+            let Some(n) = next else {
+                break;
             };
-            match next {
-                Some(n) => {
-                    let nn = self.read_node(n)?;
-                    out.push((n, self.info_of(n, &nn)));
-                    cur = n;
-                }
-                None => break,
-            }
+            out.push((n, self.store.read(n, |node| self.geo.info(n, node))?));
+            cur = n;
         }
         Ok(out)
     }
@@ -581,21 +465,21 @@ impl PagedTree {
     /// Mirrors the IX-cache's resident set into the hot map: `id` is now
     /// cached, so keep its deserialized node on the fast path.
     pub fn admit_hot(&mut self, id: NodeId) -> Result<()> {
-        if !self.hot.contains_key(&id) {
+        if !self.store.hot.contains_key(&id) {
             let n = self.read_node(id)?;
-            self.hot.insert(id, n);
+            self.store.hot.insert(id, n);
         }
         Ok(())
     }
 
     /// Drops hot nodes the IX-cache no longer references.
     pub fn retain_hot(&mut self, keep: impl Fn(NodeId) -> bool) {
-        self.hot.retain(|&id, _| keep(id));
+        self.store.hot.retain(|&id, _| keep(id));
     }
 
     /// Number of nodes currently on the hot fast path.
     pub fn hot_len(&self) -> usize {
-        self.hot.len()
+        self.store.hot.len()
     }
 
     /// Reads node `id` ahead of demand on behalf of an MLP scout.
@@ -625,41 +509,18 @@ impl PagedTree {
     /// assert_eq!(after.cold_reads, before.cold_reads, "no demand page read");
     /// ```
     pub fn prefetch_node(&mut self, id: NodeId) -> Result<()> {
-        if let Some(n) = self.hot.get(&id) {
-            prefetch_hint(n as *const PagedNode);
+        if let Some(n) = self.peek_node(id) {
+            prefetch_hint(n as *const Node);
             return Ok(());
         }
-        if let Some(n) = self.stage.get(&id) {
-            prefetch_hint(n as *const PagedNode);
+        if self.store.stage.len() >= STAGE_CAP {
             return Ok(());
         }
-        if let Some(n) = self.tombstones.get(&id) {
-            prefetch_hint(n as *const PagedNode);
-            return Ok(());
-        }
-        if self.stage.len() >= STAGE_CAP {
-            return Ok(());
-        }
-        let m = self.meta.get(id as usize).copied().ok_or_else(|| {
-            BlockFileError::new(format!(
-                "prefetch of node {id} out of range (tree has {})",
-                self.meta.len()
-            ))
-        })?;
-        let t0 = std::time::Instant::now();
-        let payload = self.file.prefetch(m.page)?;
-        self.io.page_read_ns += ns_since(t0);
-        let t0 = std::time::Instant::now();
-        let node = PagedNode::decode(&payload).map_err(|e| {
-            BlockFileError::new(format!(
-                "{}: prefetched node {id} (page {}): {e}",
-                self.file.path().display(),
-                m.page
-            ))
-        })?;
-        self.io.decode_ns += ns_since(t0);
-        self.io.prefetched += 1;
-        self.stage.insert(id, node);
+        let s = &mut self.store;
+        let page = s.live_page(id)?;
+        let node = s.load(id, page, true)?;
+        s.io.prefetched += 1;
+        s.stage.insert(id, node);
         Ok(())
     }
 
@@ -667,574 +528,61 @@ impl PagedTree {
     /// prefetch stage or tombstone), else `None`. Scouts descend
     /// through this so their speculative walk touches no page and
     /// bumps no demand counter.
-    pub fn peek_node(&self, id: NodeId) -> Option<&PagedNode> {
-        self.hot
+    pub fn peek_node(&self, id: NodeId) -> Option<&Node> {
+        let s = &self.store;
+        s.hot
             .get(&id)
-            .or_else(|| self.stage.get(&id))
-            .or_else(|| self.tombstones.get(&id))
-    }
-
-    /// Drops every staged prefetch (mutations do this implicitly; the
-    /// backend also calls it when a shard's scout window resets).
-    pub fn clear_stage(&mut self) {
-        self.stage.clear();
+            .or_else(|| s.stage.get(&id))
+            .or_else(|| match s.slots.get(id as usize) {
+                Some(Slot::Tomb(n)) => Some(&**n),
+                _ => None,
+            })
     }
 
     /// Number of nodes currently staged by prefetches.
     pub fn staged_len(&self) -> usize {
-        self.stage.len()
+        self.store.stage.len()
     }
 
-    fn ensure_mut_region(&mut self) {
-        if !self.mut_ready {
-            self.arena.skip_to(Addr::new(self.value_heap_end));
-            self.mut_ready = true;
-            self.mut_boundary = Some(self.meta.len() as NodeId);
-        }
-    }
-
-    fn path_to_leaf(&mut self, key: Key) -> Result<Vec<NodeId>> {
-        let mut path = vec![self.root];
-        loop {
-            let id = *path.last().expect("path starts at the root");
-            let node = self.read_node(id)?;
-            match &node.kind {
-                PagedKind::Interior { seps, children } => {
-                    let idx = seps.partition_point(|&s| s <= key);
-                    path.push(children[idx]);
-                }
-                PagedKind::Leaf { .. } => return Ok(path),
-            }
-        }
-    }
-
-    /// Recomputes `[lo, hi]` from current contents (port of the
-    /// `BPlusTree` original).
-    fn refresh_bounds(&mut self, id: NodeId) -> Result<()> {
-        let mut node = self.read_node(id)?;
-        let (lo, hi) = match &node.kind {
-            PagedKind::Leaf { keys, .. } => match (keys.first(), keys.last()) {
-                (Some(&lo), Some(&hi)) => (lo, hi),
-                _ => (node.lo, node.lo),
-            },
-            PagedKind::Interior { children, .. } => {
-                let first = children[0];
-                let last = *children.last().expect("interior keeps a child");
-                (self.read_node(first)?.lo, self.read_node(last)?.hi)
-            }
-        };
-        if (node.lo, node.hi) != (lo, hi) {
-            node.lo = lo;
-            node.hi = hi;
-            self.store_node(id, &node)?;
-        }
-        Ok(())
-    }
-
-    /// Rebuilds an interior node's separators from its children's low
-    /// bounds (no-op for leaves).
-    fn rebuild_seps(&mut self, id: NodeId) -> Result<()> {
-        let mut node = self.read_node(id)?;
-        let children = match &node.kind {
-            PagedKind::Interior { children, .. } => children.clone(),
-            PagedKind::Leaf { .. } => return Ok(()),
-        };
-        let mut seps = Vec::with_capacity(children.len().saturating_sub(1));
-        for &c in &children[1..] {
-            seps.push(self.read_node(c)?.lo);
-        }
-        if let PagedKind::Interior { seps: s, .. } = &mut node.kind {
-            *s = seps;
-        }
-        self.store_node(id, &node)
-    }
-
-    /// Splits overflowing node `id` in half, returning the new right
-    /// sibling (allocated past the value heap). Line-for-line port of
-    /// `BPlusTree::split_node`.
-    fn split_node(&mut self, id: NodeId) -> Result<NodeId> {
-        self.ensure_mut_region();
-        let mut node = self.read_node(id)?;
-        let level = node.level;
-        let rid = self.meta.len() as NodeId;
-        enum Half {
-            Leaf {
-                keys: Vec<Key>,
-                ranks: Vec<u64>,
-                next: Option<NodeId>,
-            },
-            Interior {
-                children: Vec<NodeId>,
-            },
-        }
-        let half = match &mut node.kind {
-            PagedKind::Leaf { keys, ranks, next } => {
-                let at = keys.len() / 2;
-                let h = Half::Leaf {
-                    keys: keys.split_off(at),
-                    ranks: ranks.split_off(at),
-                    next: *next,
-                };
-                *next = Some(rid);
-                h
-            }
-            PagedKind::Interior { children, .. } => {
-                let at = children.len() / 2;
-                Half::Interior {
-                    children: children.split_off(at),
-                }
-            }
-        };
-        self.store_node(id, &node)?;
-        let created = match half {
-            Half::Leaf { keys, ranks, next } => {
-                let bytes = NODE_HEADER_BYTES + keys.len() as u64 * 16;
-                let (lo, hi) = (keys[0], *keys.last().expect("split halves are non-empty"));
-                let sib = PagedNode {
-                    level,
-                    lo,
-                    hi,
-                    dead: false,
-                    kind: PagedKind::Leaf { keys, ranks, next },
-                };
-                self.push_node(sib, bytes)?
-            }
-            Half::Interior { children } => {
-                let mut seps = Vec::with_capacity(children.len().saturating_sub(1));
-                for &c in &children[1..] {
-                    seps.push(self.read_node(c)?.lo);
-                }
-                let bytes = NODE_HEADER_BYTES + seps.len() as u64 * 8 + children.len() as u64 * 8;
-                let lo = self.read_node(children[0])?.lo;
-                let hi = self.read_node(*children.last().expect("non-empty"))?.hi;
-                let sib = PagedNode {
-                    level,
-                    lo,
-                    hi,
-                    dead: false,
-                    kind: PagedKind::Interior { seps, children },
-                };
-                self.push_node(sib, bytes)?
-            }
-        };
-        debug_assert_eq!(created, rid);
-        self.rebuild_seps(id)?;
-        self.refresh_bounds(id)?;
-        Ok(rid)
-    }
-
-    /// Whether folding `r` into `l` stays within node capacity.
-    fn can_merge(&mut self, l: NodeId, r: NodeId) -> Result<bool> {
-        let ln = self.read_node(l)?;
-        let rn = self.read_node(r)?;
-        Ok(match (&ln.kind, &rn.kind) {
-            (PagedKind::Leaf { keys: a, .. }, PagedKind::Leaf { keys: b, .. }) => {
-                a.len() + b.len() <= self.leaf_cap
-            }
-            (PagedKind::Interior { children: a, .. }, PagedKind::Interior { children: b, .. }) => {
-                a.len() + b.len() <= self.fanout
-            }
-            _ => false,
-        })
-    }
-
-    /// Inserts `key`, splitting overflowing nodes up the walk path.
-    /// Port of `BPlusTree::insert_key` — must produce an identical
-    /// [`MutationReport`].
+    /// Inserts `key` with the in-memory tree's algorithm
+    /// ([`Geometry::insert_key`]) over the pages.
     pub fn insert_key(&mut self, key: Key) -> Result<MutationReport> {
-        let mut report = MutationReport::default();
-        let path = self.path_to_leaf(key)?;
-        let leaf = *path.last().expect("path ends at a leaf");
-        {
-            let mut node = self.read_node(leaf)?;
-            let PagedKind::Leaf { keys, ranks, .. } = &mut node.kind else {
-                unreachable!("path ends at a leaf");
-            };
-            let Err(pos) = keys.binary_search(&key) else {
-                return Ok(report);
-            };
-            keys.insert(pos, key);
-            ranks.insert(pos, self.next_rank);
-            self.store_node(leaf, &node)?;
-        }
-        report.applied = true;
-        report.writes.push(self.node_write(leaf));
-        // The new record itself (append-only value heap).
-        report.writes.push((
-            Addr::new(self.data_base.get() + self.next_rank * self.record_bytes),
-            self.record_bytes.max(1),
-        ));
-        self.next_rank += 1;
-        self.n_keys += 1;
-
-        // Ascend the path: split overflowing nodes, refresh bounds.
-        for pos in (0..path.len()).rev() {
-            let id = path[pos];
-            let node = self.read_node(id)?;
-            let over = match &node.kind {
-                PagedKind::Leaf { keys, .. } => keys.len() > self.leaf_cap,
-                PagedKind::Interior { children, .. } => children.len() > self.fanout,
-            };
-            if !over {
-                self.refresh_bounds(id)?;
-                continue;
-            }
-            let (old_lo, old_hi, level) = (node.lo, node.hi, node.level);
-            let sib = self.split_node(id)?;
-            report.splits += 1;
-            push_stale(&mut report, level, old_lo, old_hi, MutKind::Split);
-            report.writes.push(self.node_write(id));
-            report.writes.push(self.node_write(sib));
-            let sib_lo = self.read_node(sib)?.lo;
-            if pos == 0 {
-                // The root itself split: grow a new root above it.
-                let bytes = NODE_HEADER_BYTES + 8 + 2 * 8;
-                let lo = self.read_node(id)?.lo;
-                let hi = self.read_node(sib)?.hi;
-                let rid = self.push_node(
-                    PagedNode {
-                        level: level + 1,
-                        lo,
-                        hi,
-                        dead: false,
-                        kind: PagedKind::Interior {
-                            seps: vec![sib_lo],
-                            children: vec![id, sib],
-                        },
-                    },
-                    bytes,
-                )?;
-                self.root = rid;
-                self.depth += 1;
-                report.writes.push(self.node_write(rid));
-            } else {
-                let parent = path[pos - 1];
-                let mut p = self.read_node(parent)?;
-                let PagedKind::Interior { seps, children } = &mut p.kind else {
-                    unreachable!("parents are interior");
-                };
-                let cpos = children
-                    .iter()
-                    .position(|&c| c == id)
-                    .expect("parent lists its child");
-                children.insert(cpos + 1, sib);
-                seps.insert(cpos, sib_lo);
-                self.store_node(parent, &p)?;
-                report.writes.push(self.node_write(parent));
-            }
-        }
-        Ok(report)
+        self.geo.insert_key(&mut self.store, key)
     }
 
-    /// Deletes `key`, rebalancing or merging underflowing nodes up the
-    /// walk path. Port of `BPlusTree::delete_key`.
+    /// Deletes `key` with the in-memory tree's algorithm
+    /// ([`Geometry::delete_key`]) over the pages.
     pub fn delete_key(&mut self, key: Key) -> Result<MutationReport> {
-        let mut report = MutationReport::default();
-        let path = self.path_to_leaf(key)?;
-        let leaf = *path.last().expect("path ends at a leaf");
-        {
-            let mut node = self.read_node(leaf)?;
-            let PagedKind::Leaf { keys, ranks, .. } = &mut node.kind else {
-                unreachable!("path ends at a leaf");
-            };
-            let Ok(pos) = keys.binary_search(&key) else {
-                return Ok(report);
-            };
-            keys.remove(pos);
-            ranks.remove(pos);
-            self.store_node(leaf, &node)?;
-        }
-        self.n_keys -= 1;
-        report.applied = true;
-        report.writes.push(self.node_write(leaf));
-
-        let min_leaf = (self.leaf_cap / 2).max(1);
-        let min_children = (self.fanout / 2).max(2);
-        // Ascend the path (root exempt): fix underflow, refresh bounds.
-        for pos in (1..path.len()).rev() {
-            let id = path[pos];
-            let node = self.read_node(id)?;
-            let under = match &node.kind {
-                PagedKind::Leaf { keys, .. } => keys.len() < min_leaf,
-                PagedKind::Interior { children, .. } => children.len() < min_children,
-            };
-            if !under {
-                self.refresh_bounds(id)?;
-                continue;
-            }
-            self.rebalance_or_merge(path[pos - 1], id, &mut report)?;
-        }
-        self.refresh_bounds(path[0])?;
-        Ok(report)
-    }
-
-    /// Fixes underflowing `id` (port of the `BPlusTree` original; the
-    /// borrow/merge preference order must match exactly).
-    fn rebalance_or_merge(
-        &mut self,
-        parent: NodeId,
-        id: NodeId,
-        report: &mut MutationReport,
-    ) -> Result<()> {
-        let (cpos, left, right) = {
-            let p = self.read_node(parent)?;
-            let PagedKind::Interior { children, .. } = &p.kind else {
-                unreachable!("parents are interior");
-            };
-            let cpos = children
-                .iter()
-                .position(|&c| c == id)
-                .expect("parent lists its child");
-            (
-                cpos,
-                (cpos > 0).then(|| children[cpos - 1]),
-                children.get(cpos + 1).copied(),
-            )
-        };
-        let level = self.read_node(id)?.level;
-        let left_surplus = match left {
-            Some(l) => self.has_surplus(l)?,
-            None => false,
-        };
-        let right_surplus = match right {
-            Some(r) => self.has_surplus(r)?,
-            None => false,
-        };
-        if let Some(l) = left.filter(|_| left_surplus) {
-            let (lo, hi) = (self.read_node(l)?.lo, self.read_node(id)?.hi);
-            self.borrow_from_left(parent, cpos, l, id)?;
-            report.rebalances += 1;
-            push_stale(report, level, lo, hi, MutKind::Rebalance);
-            report.writes.push(self.node_write(l));
-            report.writes.push(self.node_write(id));
-            report.writes.push(self.node_write(parent));
-        } else if let Some(r) = right.filter(|_| right_surplus) {
-            let (lo, hi) = (self.read_node(id)?.lo, self.read_node(r)?.hi);
-            self.borrow_from_right(parent, cpos, id, r)?;
-            report.rebalances += 1;
-            push_stale(report, level, lo, hi, MutKind::Rebalance);
-            report.writes.push(self.node_write(id));
-            report.writes.push(self.node_write(r));
-            report.writes.push(self.node_write(parent));
-        } else if let Some(l) = left {
-            if self.can_merge(l, id)? {
-                let (lo, hi) = (self.read_node(l)?.lo, self.read_node(id)?.hi);
-                self.merge_into_left(parent, cpos - 1, l, id)?;
-                report.merges += 1;
-                push_stale(report, level, lo, hi, MutKind::Merge);
-                report.writes.push(self.node_write(l));
-                report.writes.push(self.node_write(parent));
-            } else if let Some(r) = right {
-                if self.can_merge(id, r)? {
-                    let (lo, hi) = (self.read_node(id)?.lo, self.read_node(r)?.hi);
-                    self.merge_into_left(parent, cpos, id, r)?;
-                    report.merges += 1;
-                    push_stale(report, level, lo, hi, MutKind::Merge);
-                    report.writes.push(self.node_write(id));
-                    report.writes.push(self.node_write(parent));
-                }
-            }
-        } else if let Some(r) = right {
-            if self.can_merge(id, r)? {
-                let (lo, hi) = (self.read_node(id)?.lo, self.read_node(r)?.hi);
-                self.merge_into_left(parent, cpos, id, r)?;
-                report.merges += 1;
-                push_stale(report, level, lo, hi, MutKind::Merge);
-                report.writes.push(self.node_write(id));
-                report.writes.push(self.node_write(parent));
-            }
-        }
-        Ok(())
-    }
-
-    /// Whether a node holds more than the underflow minimum.
-    fn has_surplus(&mut self, n: NodeId) -> Result<bool> {
-        let node = self.read_node(n)?;
-        Ok(match &node.kind {
-            PagedKind::Leaf { keys, .. } => keys.len() > (self.leaf_cap / 2).max(1),
-            PagedKind::Interior { children, .. } => children.len() > (self.fanout / 2).max(2),
-        })
-    }
-
-    /// Moves the last key/child of `l` to the front of `id`.
-    fn borrow_from_left(
-        &mut self,
-        parent: NodeId,
-        cpos: usize,
-        l: NodeId,
-        id: NodeId,
-    ) -> Result<()> {
-        enum Moved {
-            Key(Key, u64),
-            Child(NodeId),
-        }
-        let mut ln = self.read_node(l)?;
-        let moved = match &mut ln.kind {
-            PagedKind::Leaf { keys, ranks, .. } => Moved::Key(
-                keys.pop().expect("surplus leaf has keys"),
-                ranks.pop().expect("ranks track keys"),
-            ),
-            PagedKind::Interior { seps, children } => {
-                seps.pop();
-                Moved::Child(children.pop().expect("surplus interior has children"))
-            }
-        };
-        self.store_node(l, &ln)?;
-        let mut idn = self.read_node(id)?;
-        match moved {
-            Moved::Key(k, r) => {
-                if let PagedKind::Leaf { keys, ranks, .. } = &mut idn.kind {
-                    keys.insert(0, k);
-                    ranks.insert(0, r);
-                }
-            }
-            Moved::Child(c) => {
-                if let PagedKind::Interior { children, .. } = &mut idn.kind {
-                    children.insert(0, c);
-                }
-            }
-        }
-        self.store_node(id, &idn)?;
-        self.rebuild_seps(id)?;
-        self.refresh_bounds(l)?;
-        self.refresh_bounds(id)?;
-        let new_lo = self.read_node(id)?.lo;
-        let mut p = self.read_node(parent)?;
-        if let PagedKind::Interior { seps, .. } = &mut p.kind {
-            seps[cpos - 1] = new_lo;
-        }
-        self.store_node(parent, &p)
-    }
-
-    /// Moves the first key/child of `r` to the end of `id`.
-    fn borrow_from_right(
-        &mut self,
-        parent: NodeId,
-        cpos: usize,
-        id: NodeId,
-        r: NodeId,
-    ) -> Result<()> {
-        enum Moved {
-            Key(Key, u64),
-            Child(NodeId),
-        }
-        let mut rn = self.read_node(r)?;
-        let moved = match &mut rn.kind {
-            PagedKind::Leaf { keys, ranks, .. } => Moved::Key(keys.remove(0), ranks.remove(0)),
-            PagedKind::Interior { seps, children } => {
-                if !seps.is_empty() {
-                    seps.remove(0);
-                }
-                Moved::Child(children.remove(0))
-            }
-        };
-        self.store_node(r, &rn)?;
-        let mut idn = self.read_node(id)?;
-        match moved {
-            Moved::Key(k, rk) => {
-                if let PagedKind::Leaf { keys, ranks, .. } = &mut idn.kind {
-                    keys.push(k);
-                    ranks.push(rk);
-                }
-            }
-            Moved::Child(c) => {
-                if let PagedKind::Interior { children, .. } = &mut idn.kind {
-                    children.push(c);
-                }
-            }
-        }
-        self.store_node(id, &idn)?;
-        self.rebuild_seps(id)?;
-        self.rebuild_seps(r)?;
-        self.refresh_bounds(id)?;
-        self.refresh_bounds(r)?;
-        let new_lo = self.read_node(r)?.lo;
-        let mut p = self.read_node(parent)?;
-        if let PagedKind::Interior { seps, .. } = &mut p.kind {
-            seps[cpos] = new_lo;
-        }
-        self.store_node(parent, &p)
-    }
-
-    /// Folds `r` into its left sibling `l`, tombstoning `r` and freeing
-    /// its extent.
-    fn merge_into_left(
-        &mut self,
-        parent: NodeId,
-        sep_idx: usize,
-        l: NodeId,
-        r: NodeId,
-    ) -> Result<()> {
-        enum Contents {
-            Leaf(Vec<Key>, Vec<u64>, Option<NodeId>),
-            Interior(Vec<NodeId>),
-        }
-        let mut rn = self.read_node(r)?;
-        let contents = match &mut rn.kind {
-            PagedKind::Leaf { keys, ranks, next } => {
-                Contents::Leaf(std::mem::take(keys), std::mem::take(ranks), next.take())
-            }
-            PagedKind::Interior { seps, children } => {
-                seps.clear();
-                Contents::Interior(std::mem::take(children))
-            }
-        };
-        rn.dead = true;
-        self.kill_node(r, rn)?;
-        let mut ln = self.read_node(l)?;
-        match contents {
-            Contents::Leaf(k, rk, nxt) => {
-                if let PagedKind::Leaf { keys, ranks, next } = &mut ln.kind {
-                    keys.extend(k);
-                    ranks.extend(rk);
-                    *next = nxt;
-                }
-            }
-            Contents::Interior(cs) => {
-                if let PagedKind::Interior { children, .. } = &mut ln.kind {
-                    children.extend(cs);
-                }
-            }
-        }
-        self.store_node(l, &ln)?;
-        self.rebuild_seps(l)?;
-        self.refresh_bounds(l)?;
-        let mut p = self.read_node(parent)?;
-        if let PagedKind::Interior { seps, children } = &mut p.kind {
-            seps.remove(sep_idx);
-            children.remove(sep_idx + 1);
-        }
-        self.store_node(parent, &p)
+        self.geo.delete_key(&mut self.store, key)
     }
 }
 
-/// Byte-slice reader for the directory blob.
-struct DirReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> DirReader<'a> {
-    fn take(&mut self, n: usize) -> std::result::Result<&'a [u8], String> {
-        if self.pos + n > self.bytes.len() {
-            return Err(format!("truncated at offset {}", self.pos));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+/// Decodes a directory blob written by [`PagedTree::persist`]: the
+/// geometry (the arena replayed node by node) and every node's slot.
+fn parse_directory(blob: &[u8]) -> std::result::Result<(Geometry, Vec<Slot>), String> {
+    let mut r = ByteReader::new(blob);
+    if r.u32()? != DIR_VERSION {
+        return Err("unknown directory version".into());
     }
-
-    fn u8(&mut self) -> std::result::Result<u8, String> {
-        Ok(self.take(1)?[0])
+    let geo = Geometry::decode(&mut r)?;
+    let n_nodes = geo.arena().len();
+    // Preallocate only what the remaining bytes can describe.
+    let mut slots = Vec::with_capacity(n_nodes.min(r.left() / DIR_SLOT_BYTES));
+    for id in 0..n_nodes {
+        slots.push(match r.u8()? {
+            0 => Slot::Page(r.u64()?),
+            1 => {
+                let len = r.u32()? as usize;
+                let node = Node::decode(r.take(len)?)?;
+                if !node.dead {
+                    return Err(format!("tombstone of node {id} is not dead"));
+                }
+                Slot::Tomb(Box::new(node))
+            }
+            t => return Err(format!("node {id}: unknown entry tag {t}")),
+        });
     }
-
-    fn u32(&mut self) -> std::result::Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> std::result::Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
+    Ok((geo, slots))
 }
 
 /// Materializes every B+tree index of an experiment into temp block
@@ -1248,6 +596,7 @@ mod tests {
     use super::*;
     use metal_index::WalkIndex;
     use metal_sim::rng::SplitRng;
+    use metal_sim::types::Addr;
 
     fn keys(n: u64, stride: u64) -> Vec<Key> {
         (0..n).map(|i| i * stride).collect()
@@ -1258,9 +607,10 @@ mod tests {
         matches!(leaf, Descend::Leaf { found: true, .. })
     }
 
-    /// Runs the same op storm against the in-memory tree and the paged
-    /// tree, asserting identical mutation reports and identical node
-    /// views after every op.
+    /// Runs the same op storm through the one mutation algorithm over
+    /// both stores — the in-memory node vector and the block-file pages
+    /// — asserting identical mutation reports after every op and
+    /// identical nodes (dead ones included) at the end.
     fn storm(seed: u64, ops: usize) {
         let mut rng = SplitRng::stream(seed, 0x9a6e_d1f3);
         let n = 40 + rng.gen_range(0u64..200);
@@ -1293,21 +643,33 @@ mod tests {
                 }
             }
         }
-        // Full structural equivalence at the end: every node id yields
-        // the same NodeInfo, and every key resolves identically.
-        assert_eq!(sim.node_count(), paged.node_count());
-        assert_eq!(WalkIndex::depth(&sim), paged.depth());
+        assert_same_tree(&sim, &mut paged, span + stride);
+    }
+
+    /// Asserts that `paged` holds exactly `sim`'s nodes (dead ones
+    /// included) at `sim`'s placements, and resolves every key below
+    /// `span` like `sim`.
+    fn assert_same_tree(sim: &BPlusTree, paged: &mut PagedTree, span: Key) {
+        assert_eq!(
+            (paged.root(), paged.depth(), paged.len(), paged.node_count()),
+            (
+                WalkIndex::root(sim),
+                WalkIndex::depth(sim),
+                sim.len(),
+                sim.node_count()
+            )
+        );
         for id in 0..sim.node_count() as NodeId {
-            let e = sim.export_node(id);
-            if e.dead {
-                continue;
-            }
             let node = paged.read_node(id).unwrap();
-            let info = paged.info_of(id, &node);
-            assert_eq!(WalkIndex::node(&sim, id), info, "node {id} info diverged");
+            assert_eq!(node, sim.nodes()[id as usize], "node {id}");
+            assert_eq!(
+                paged.info_of(id, &node),
+                WalkIndex::node(sim, id),
+                "node {id}"
+            );
         }
-        for k in 0..span + stride {
-            assert_eq!(sim.contains(k), walk_found(&mut paged, k), "final key {k}");
+        for k in 0..span {
+            assert_eq!(sim.contains(k), walk_found(paged, k), "key {k}");
         }
     }
 
@@ -1316,20 +678,7 @@ mod tests {
         let ks = keys(500, 3);
         let sim = BPlusTree::bulk_load(&ks, 8, Addr::new(0x1000), 64);
         let mut paged = materialize_tree(&sim).unwrap();
-        assert_eq!(paged.root(), WalkIndex::root(&sim));
-        assert_eq!(paged.depth(), WalkIndex::depth(&sim));
-        for id in 0..sim.node_count() as NodeId {
-            let node = paged.read_node(id).unwrap();
-            assert_eq!(
-                paged.info_of(id, &node),
-                WalkIndex::node(&sim, id),
-                "node {id}"
-            );
-        }
-        for &k in &ks {
-            assert!(walk_found(&mut paged, k));
-            assert!(!walk_found(&mut paged, k + 1));
-        }
+        assert_same_tree(&sim, &mut paged, 1500);
     }
 
     #[test]
@@ -1381,28 +730,140 @@ mod tests {
             paged.persist().unwrap();
         }
         let mut paged = PagedTree::reopen(BlockFile::open(&path).unwrap()).unwrap();
-        assert_eq!(paged.depth(), WalkIndex::depth(&sim));
-        assert_eq!(paged.len(), sim.len());
-        for id in 0..sim.node_count() as NodeId {
-            if sim.export_node(id).dead {
-                continue;
-            }
-            let node = paged.read_node(id).unwrap();
-            assert_eq!(
-                paged.info_of(id, &node),
-                WalkIndex::node(&sim, id),
-                "node {id} after reopen"
-            );
-        }
-        for k in 0..2100 {
-            assert_eq!(sim.contains(k), walk_found(&mut paged, k), "key {k}");
-        }
+        assert_same_tree(&sim, &mut paged, 2100);
         // And mutation continues identically after reopen.
         for k in [4u64, 6, 2050] {
             assert_eq!(sim.insert_key(k), paged.insert_key(k).unwrap(), "post {k}");
         }
         std::fs::remove_file(&path).unwrap();
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    /// A persisted tree's block file whose directory blob was rewritten
+    /// by `forge` and stored back with valid checksums.
+    fn forged_directory(forge: impl FnOnce(&mut Vec<u8>)) -> BlockFile {
+        let sim = BPlusTree::bulk_load(&keys(200, 2), 4, Addr::new(0), 16);
+        let mut paged = materialize_tree(&sim).unwrap();
+        let mut merges = 0;
+        for k in 0..40 {
+            merges += paged.delete_key(k * 2).unwrap().merges;
+        }
+        assert!(merges > 0, "the directory must carry tombstones");
+        paged.persist().unwrap();
+        let mut file = paged.into_file();
+        let page = file.root().unwrap().unwrap();
+        let mut blob = file.load(page).unwrap();
+        forge(&mut blob);
+        let page = file.store(&blob).unwrap();
+        file.set_root(page).unwrap();
+        file
+    }
+
+    /// Directory offsets: root id, mutation boundary, node count and the
+    /// node sizes of the geometry, which the node table follows.
+    const ROOT_AT: usize = 4;
+    const BOUNDARY_AT: usize = 74;
+    const N_NODES_AT: usize = 78;
+    const SIZES_AT: usize = 82;
+
+    fn get_u32(blob: &[u8], at: usize) -> u32 {
+        u32::from_le_bytes(blob[at..at + 4].try_into().unwrap())
+    }
+
+    fn put_u32(blob: &mut [u8], at: usize, v: u32) {
+        blob[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Offset of the first node-table entry (from node `from` on) whose
+    /// tag is `tag`: 0 and a page for a live node, 1, a length and an
+    /// encoded tombstone for a dead one.
+    fn entry_at(b: &[u8], from: u32, tag: u8) -> usize {
+        let mut at = SIZES_AT + 8 * get_u32(b, N_NODES_AT) as usize;
+        for id in 0.. {
+            if id >= from && b[at] == tag {
+                break;
+            }
+            at += if b[at] == 0 {
+                9
+            } else {
+                5 + get_u32(b, at + 1) as usize
+            };
+        }
+        at
+    }
+
+    #[test]
+    fn reopen_rejects_forged_directories() {
+        let reopened = PagedTree::reopen(forged_directory(|_| {}));
+        assert!(reopened.is_ok(), "an unforged directory reopens");
+        type Forge = fn(&mut Vec<u8>);
+        let cases: [(&str, &str, Forge); 6] = [
+            ("huge node count", "malformed", |b| {
+                put_u32(b, N_NODES_AT, u32::MAX)
+            }),
+            ("live node marked dead", "malformed", |b| {
+                let at = entry_at(b, get_u32(b, ROOT_AT), 0);
+                b[at] = 1;
+            }),
+            ("tombstone that is not dead", "not dead", |b| {
+                // Past the tag and length: the node's tag, then its flag.
+                let at = entry_at(b, 0, 1) + 5 + 1;
+                b[at] = 0;
+            }),
+            ("unknown entry tag", "tag", |b| {
+                let at = entry_at(b, get_u32(b, ROOT_AT), 0);
+                b[at] = 7;
+            }),
+            ("root past the node table", "root", |b| {
+                let n = get_u32(b, N_NODES_AT);
+                put_u32(b, ROOT_AT, n);
+            }),
+            ("mutation boundary past the node table", "boundary", |b| {
+                let n = get_u32(b, N_NODES_AT);
+                put_u32(b, BOUNDARY_AT, n + 1);
+            }),
+        ];
+        for (what, says, forge) in cases {
+            let err = PagedTree::reopen(forged_directory(forge)).expect_err(what);
+            let msg = err.to_string();
+            assert!(
+                msg.contains("malformed tree directory") && msg.contains(says),
+                "{what}: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn storage_errors_propagate_through_mutations() {
+        use std::os::unix::fs::FileExt;
+        let sim = BPlusTree::bulk_load(&keys(300, 2), 4, Addr::new(0), 16);
+        let mut paged = materialize_tree(&sim).unwrap();
+        let key = 200;
+        let leaf = sim.leaf_for(key);
+        assert_eq!(sim.leaf_for(key + 1), leaf);
+        let Slot::Page(page) = paged.store.slots[leaf as usize] else {
+            panic!("leaf {leaf} is live");
+        };
+        // Overwrite payload bytes of the leaf's extent (past its 16-byte
+        // header), so its checksum no longer matches.
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(paged.store.file.path())
+            .unwrap()
+            .write_all_at(b"XXXXXXXX", page * super::super::PAGE_BYTES + 16)
+            .unwrap();
+        let results = [
+            ("insert", paged.insert_key(key + 1)),
+            ("delete", paged.delete_key(key)),
+        ];
+        for (op, result) in results {
+            let msg = result.expect_err(op).to_string();
+            assert!(
+                msg.contains(&format!("node {leaf}")) && msg.contains(&format!("page {page}")),
+                "{op}: {msg}"
+            );
+        }
+        assert_eq!(paged.len(), sim.len(), "failed mutations changed nothing");
     }
 
     #[test]

@@ -17,23 +17,41 @@
 //!
 //! Leaves are linked left-to-right so range scans can stream without
 //! re-walking (used by the Scan workload's in-leaf phase).
+//!
+//! A tree is a [`Geometry`] (scalars and node placement) over a
+//! [`NodeStore`] holding its [`Node`]s. Insert and delete are written once,
+//! as [`Geometry::insert_key`] / [`Geometry::delete_key`] over any store:
+//! [`BPlusTree`] keeps its nodes in a vector, the native backend's paged
+//! tree in block-file pages (via [`Node::encode`] / [`Node::decode`]).
+
+mod codec;
+mod mutate;
+
+pub use codec::ByteReader;
 
 use crate::arena::{Arena, NodeId};
 use crate::walk::{Descend, NodeInfo, WalkIndex};
 use metal_sim::obs::MutKind;
 use metal_sim::types::{Addr, Key};
+use std::convert::Infallible;
 
-/// Per-node byte-size model: header + keys + pointers (8 B each).
+/// Per-node byte-size model: a header plus 8 B per key, rank, separator
+/// and child pointer (see [`Node::model_bytes`]).
 const NODE_HEADER_BYTES: u64 = 16;
 
-#[derive(Debug, Clone)]
-enum NodeKind {
+/// Keys and pointers of one [`Node`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NodeKind {
+    /// Interior node: separators and child pointers.
     Interior {
         /// `seps[i]` is the smallest key of `children[i + 1]`.
         seps: Vec<Key>,
+        /// Child node ids.
         children: Vec<NodeId>,
     },
+    /// Leaf node: keys, record ranks and the right-sibling link.
     Leaf {
+        /// Sorted keys.
         keys: Vec<Key>,
         /// `ranks[i]` locates `keys[i]`'s record: ranks are append-only
         /// (an inserted key gets the next fresh rank; deleted ranks are
@@ -44,17 +62,124 @@ enum NodeKind {
     },
 }
 
-#[derive(Debug, Clone)]
-struct Node {
-    kind: NodeKind,
-    level: u8,
-    lo: Key,
-    hi: Key,
-    slot: usize,
-    /// True once the node was merged away; dead nodes are unreachable
-    /// from the root (and their cached tags are invalidated), they only
-    /// remain in the vec because node ids are positional.
-    dead: bool,
+/// One B+tree node, as every storage holds it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Node {
+    /// Level counted from the leaves (leaf = 0).
+    pub level: u8,
+    /// Smallest key reachable through this node.
+    pub lo: Key,
+    /// Largest key reachable through this node (inclusive).
+    pub hi: Key,
+    /// True once the node was merged away. Dead nodes are unreachable
+    /// from the root (and their cached tags are invalidated); they stay
+    /// readable, emptied, because node ids are positional and a racing
+    /// cached pointer must still resolve.
+    pub dead: bool,
+    /// Keys and pointers.
+    pub kind: NodeKind,
+}
+
+impl Node {
+    /// Number of keys the node stores (separators for interior nodes),
+    /// as exposed in [`NodeInfo::keys`].
+    pub fn key_count(&self) -> u16 {
+        match &self.kind {
+            NodeKind::Interior { seps, .. } => seps.len() as u16,
+            NodeKind::Leaf { keys, .. } => keys.len() as u16,
+        }
+    }
+
+    /// Modeled byte size, fixed when the node is allocated: a 16 B header
+    /// plus 8 B per key, rank, separator and child pointer.
+    pub fn model_bytes(&self) -> u64 {
+        let words = match &self.kind {
+            NodeKind::Interior { seps, children } => seps.len() + children.len(),
+            NodeKind::Leaf { keys, ranks, .. } => keys.len() + ranks.len(),
+        };
+        NODE_HEADER_BYTES + 8 * words as u64
+    }
+
+    /// Entries that count against capacity: keys in a leaf, children in
+    /// an interior node.
+    fn fill(&self) -> usize {
+        match &self.kind {
+            NodeKind::Interior { children, .. } => children.len(),
+            NodeKind::Leaf { keys, .. } => keys.len(),
+        }
+    }
+
+    /// Marks the node dead and takes its contents, leaving it emptied
+    /// (same kind, no entries) but keeping its level and bounds — what
+    /// every [`NodeStore::kill`] does to a merged-away node.
+    pub fn kill(&mut self) -> NodeKind {
+        self.dead = true;
+        let empty = match &self.kind {
+            NodeKind::Interior { .. } => NodeKind::Interior {
+                seps: Vec::new(),
+                children: Vec::new(),
+            },
+            NodeKind::Leaf { .. } => NodeKind::Leaf {
+                keys: Vec::new(),
+                ranks: Vec::new(),
+                next: None,
+            },
+        };
+        std::mem::replace(&mut self.kind, empty)
+    }
+}
+
+/// Index of the child an interior node routes `key` to.
+fn route(seps: &[Key], key: Key) -> usize {
+    seps.partition_point(|&s| s <= key)
+}
+
+/// Storage for the nodes of one tree, addressed by positional id.
+///
+/// The mutation algorithm ([`Geometry::insert_key`] /
+/// [`Geometry::delete_key`]) touches nodes only through these four
+/// operations, so every implementation restructures a tree identically.
+/// Errors abort the mutation and propagate unchanged.
+pub trait NodeStore {
+    /// What a failed node access reports.
+    type Error;
+
+    /// Calls `f` on node `id`, borrowed.
+    fn read<R>(&mut self, id: NodeId, f: impl FnOnce(&Node) -> R) -> Result<R, Self::Error>;
+
+    /// Read-modify-store: calls `f` on node `id` mutably, then keeps the
+    /// result as the node's contents.
+    fn write<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Node) -> R) -> Result<R, Self::Error>;
+
+    /// Stores a new node under the next id (ids are dense: the n-th
+    /// allocation gets id n).
+    fn alloc(&mut self, node: Node) -> Result<NodeId, Self::Error>;
+
+    /// Kills a merged-away node: marks it dead and returns its contents,
+    /// leaving it readable but emptied.
+    fn kill(&mut self, id: NodeId) -> Result<NodeKind, Self::Error>;
+}
+
+/// The in-memory store: node `id` is element `id`.
+impl NodeStore for Vec<Node> {
+    type Error = Infallible;
+
+    fn read<R>(&mut self, id: NodeId, f: impl FnOnce(&Node) -> R) -> Result<R, Infallible> {
+        Ok(f(&self[id as usize]))
+    }
+
+    fn write<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Node) -> R) -> Result<R, Infallible> {
+        Ok(f(&mut self[id as usize]))
+    }
+
+    fn alloc(&mut self, node: Node) -> Result<NodeId, Infallible> {
+        self.push(node);
+        Ok((self.len() - 1) as NodeId)
+    }
+
+    fn kill(&mut self, id: NodeId) -> Result<NodeKind, Infallible> {
+        Ok(self[id as usize].kill())
+    }
 }
 
 /// The key span a structural mutation staled: cached `[Lo, Hi]` tags at
@@ -106,108 +231,28 @@ pub struct MutationReport {
     pub writes: Vec<(Addr, u64)>,
 }
 
-/// Records `[lo, hi]` as stale at `level` and every level below it —
-/// see [`StaleSpan`] for why a restructure re-fences its whole subtree.
-fn push_stale(report: &mut MutationReport, level: u8, lo: Key, hi: Key, op: MutKind) {
-    for l in (0..=level).rev() {
-        report.stale.push(StaleSpan {
-            level: l,
-            lo,
-            hi,
-            op,
-        });
-    }
-}
-
-/// Scalar geometry of a [`BPlusTree`], exported so an external storage
-/// backend (the native paged executor in `metal-core`) can materialize a
-/// byte-for-byte equivalent tree: same node ids, same simulated
-/// addresses, same mutation thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TreeShape {
-    /// Root node id.
-    pub root: NodeId,
-    /// Number of levels.
-    pub depth: u8,
-    /// Keys per leaf at bulk load (mutation overflow threshold).
-    pub leaf_cap: usize,
-    /// Children per interior node at bulk load (overflow threshold).
-    pub fanout: usize,
-    /// Number of keys indexed.
-    pub n_keys: u64,
-    /// Next fresh record rank.
-    pub next_rank: u64,
-    /// First address of the node arena.
-    pub arena_base: Addr,
-    /// Base address of the data-record region.
-    pub data_base: Addr,
-    /// Bytes per data record.
-    pub record_bytes: u64,
-    /// One past the reserved value heap (mutation-allocated nodes land
-    /// beyond it).
-    pub value_heap_end: u64,
-    /// Whether the arena cursor has already advanced past the value heap
-    /// (true once any structural mutation allocated a node).
-    pub mut_ready: bool,
-}
-
-/// Exported contents of one node (see [`BPlusTree::export_node`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeExport {
-    /// An interior node: separators plus child pointers.
-    Interior {
-        /// `seps[i]` is the smallest key of `children[i + 1]`.
-        seps: Vec<Key>,
-        /// Child node ids.
-        children: Vec<NodeId>,
-    },
-    /// A leaf node: keys plus record ranks and the right-sibling link.
-    Leaf {
-        /// Sorted keys.
-        keys: Vec<Key>,
-        /// Record rank per key.
-        ranks: Vec<u64>,
-        /// Next leaf to the right.
-        next: Option<NodeId>,
-    },
-}
-
-/// One node exported with its placement metadata, enough to rebuild the
-/// node (and its [`NodeInfo`]) in a different storage backend.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExportedNode {
-    /// Level counted from the leaves.
-    pub level: u8,
-    /// Smallest key reachable through this node.
-    pub lo: Key,
-    /// Largest key reachable through this node (inclusive).
-    pub hi: Key,
-    /// True once the node was merged away.
-    pub dead: bool,
-    /// Simulated physical address (arena placement).
-    pub addr: Addr,
-    /// Logical byte size (arena placement, pre-rounding).
-    pub bytes: u64,
-    /// The node's keys/pointers.
-    pub contents: NodeExport,
-}
-
-/// A bulk-loaded B+tree with simulated physical placement.
+/// Shape and placement of one B+tree, independent of where its nodes
+/// are stored: the scalars the mutation algorithm maintains plus the
+/// [`Arena`] that gives node `id` its simulated address (slot == id).
+///
+/// Cloning a tree's geometry next to a copy of its nodes reproduces it
+/// exactly — same node ids, same simulated addresses, same mutation
+/// thresholds — which is how the native backend's paged tree starts out
+/// identical to the simulator's. [`Geometry::encode`] and
+/// [`Geometry::decode`] persist it.
 #[derive(Debug, Clone)]
-pub struct BPlusTree {
-    nodes: Vec<Node>,
+pub struct Geometry {
     root: NodeId,
     depth: u8,
-    arena: Arena,
-    data_base: Addr,
-    record_bytes: u64,
-    n_keys: u64,
     /// Keys per leaf at bulk load; the overflow threshold for mutation.
     leaf_cap: usize,
     /// Children per interior node at bulk load; overflow threshold.
     fanout: usize,
+    n_keys: u64,
     /// Next fresh record rank (append-only value heap).
     next_rank: u64,
+    data_base: Addr,
+    record_bytes: u64,
     /// One past the reserved value heap; mutation-allocated nodes are
     /// placed beyond it so they never alias data records.
     value_heap_end: u64,
@@ -215,6 +260,69 @@ pub struct BPlusTree {
     /// (deferred to the first mutation so read-only trees keep their
     /// exact bulk-load footprint).
     mut_ready: bool,
+    /// Simulated placement of every node, in id order.
+    arena: Arena,
+}
+
+impl Geometry {
+    /// Root node id.
+    pub fn root(&self) -> NodeId {
+        self.root
+    }
+
+    /// Number of levels.
+    pub fn depth(&self) -> u8 {
+        self.depth
+    }
+
+    /// Number of keys indexed.
+    pub fn n_keys(&self) -> u64 {
+        self.n_keys
+    }
+
+    /// Simulated placement of every node, in id order.
+    pub fn arena(&self) -> &Arena {
+        &self.arena
+    }
+
+    /// [`NodeInfo`] of node `id` with contents `node`.
+    pub fn info(&self, id: NodeId, node: &Node) -> NodeInfo {
+        NodeInfo {
+            addr: self.arena.addr(id as usize),
+            bytes: self.arena.bytes(id as usize),
+            level: node.level,
+            lo: node.lo,
+            hi: node.hi,
+            keys: node.key_count(),
+        }
+    }
+
+    /// Searches `node` for `key`: the child to continue at, or the leaf
+    /// outcome with the key's record address.
+    pub fn descend(&self, node: &Node, key: Key) -> Descend {
+        match &node.kind {
+            NodeKind::Interior { seps, children } => Descend::Child(children[route(seps, key)]),
+            NodeKind::Leaf { keys, ranks, .. } => match keys.binary_search(&key) {
+                Ok(pos) => Descend::Leaf {
+                    found: true,
+                    value_addr: Addr::new(self.data_base.get() + ranks[pos] * self.record_bytes),
+                    value_bytes: self.record_bytes,
+                },
+                Err(_) => Descend::Leaf {
+                    found: false,
+                    value_addr: self.data_base,
+                    value_bytes: 0,
+                },
+            },
+        }
+    }
+}
+
+/// A bulk-loaded B+tree with simulated physical placement.
+#[derive(Debug, Clone)]
+pub struct BPlusTree {
+    geo: Geometry,
+    nodes: Vec<Node>,
 }
 
 impl BPlusTree {
@@ -257,15 +365,17 @@ impl BPlusTree {
 
         let mut arena = Arena::new(base);
         let mut nodes: Vec<Node> = Vec::new();
+        let mut push = |nodes: &mut Vec<Node>, node: Node| {
+            arena.alloc(node.model_bytes());
+            nodes.push(node);
+            (nodes.len() - 1) as NodeId
+        };
 
         // Build leaves.
         let mut level_ids: Vec<NodeId> = Vec::new();
         let mut rank = 0u64;
         for chunk in keys.chunks(leaf_keys) {
-            let bytes = NODE_HEADER_BYTES + chunk.len() as u64 * 16;
-            let slot = arena.alloc(bytes);
-            let id = nodes.len() as NodeId;
-            nodes.push(Node {
+            let node = Node {
                 kind: NodeKind::Leaf {
                     keys: chunk.to_vec(),
                     ranks: (rank..rank + chunk.len() as u64).collect(),
@@ -274,11 +384,10 @@ impl BPlusTree {
                 level: 0,
                 lo: chunk[0],
                 hi: *chunk.last().expect("chunks are non-empty"),
-                slot,
                 dead: false,
-            });
+            };
             rank += chunk.len() as u64;
-            level_ids.push(id);
+            level_ids.push(push(&mut nodes, node));
         }
         // Link leaves.
         for w in 0..level_ids.len().saturating_sub(1) {
@@ -294,47 +403,40 @@ impl BPlusTree {
             level += 1;
             let mut upper: Vec<NodeId> = Vec::new();
             for group in level_ids.chunks(fanout) {
-                let seps: Vec<Key> = group[1..].iter().map(|&c| nodes[c as usize].lo).collect();
-                let bytes = NODE_HEADER_BYTES + seps.len() as u64 * 8 + group.len() as u64 * 8;
-                let slot = arena.alloc(bytes);
-                let id = nodes.len() as NodeId;
-                let lo = nodes[group[0] as usize].lo;
-                let hi = nodes[*group.last().expect("groups are non-empty") as usize].hi;
-                nodes.push(Node {
+                let node = Node {
                     kind: NodeKind::Interior {
-                        seps,
+                        seps: group[1..].iter().map(|&c| nodes[c as usize].lo).collect(),
                         children: group.to_vec(),
                     },
                     level,
-                    lo,
-                    hi,
-                    slot,
+                    lo: nodes[group[0] as usize].lo,
+                    hi: nodes[*group.last().expect("groups are non-empty") as usize].hi,
                     dead: false,
-                });
-                upper.push(id);
+                };
+                upper.push(push(&mut nodes, node));
             }
             level_ids = upper;
         }
 
-        let root = level_ids[0];
-        let depth = level + 1;
         let data_base = arena.end();
         // Reserve value-heap headroom for twice the bulk-loaded key count
         // (append-only ranks): mutation-allocated nodes go beyond it.
         let value_heap_end = data_base.get() + 2 * keys.len() as u64 * record_bytes.max(1);
         BPlusTree {
+            geo: Geometry {
+                root: level_ids[0],
+                depth: level + 1,
+                leaf_cap: leaf_keys,
+                fanout,
+                n_keys: keys.len() as u64,
+                next_rank: keys.len() as u64,
+                data_base,
+                record_bytes,
+                value_heap_end,
+                mut_ready: false,
+                arena,
+            },
             nodes,
-            root,
-            depth,
-            arena,
-            data_base,
-            record_bytes,
-            n_keys: keys.len() as u64,
-            leaf_cap: leaf_keys,
-            fanout,
-            next_rank: keys.len() as u64,
-            value_heap_end,
-            mut_ready: false,
         }
     }
 
@@ -413,28 +515,39 @@ impl BPlusTree {
 
     /// The fanout-independent number of keys indexed.
     pub fn len(&self) -> u64 {
-        self.n_keys
+        self.geo.n_keys
     }
 
     /// Whether the tree indexes no keys (never true: empty trees panic at
     /// construction, but the method completes the collection interface).
     pub fn is_empty(&self) -> bool {
-        self.n_keys == 0
+        self.geo.n_keys == 0
     }
 
     /// Base address of the data-record region.
     pub fn data_base(&self) -> Addr {
-        self.data_base
+        self.geo.data_base
     }
 
     /// Bytes per data record.
     pub fn record_bytes(&self) -> u64 {
-        self.record_bytes
+        self.geo.record_bytes
+    }
+
+    /// The tree's shape and placement (see [`Geometry`]).
+    pub fn geometry(&self) -> &Geometry {
+        &self.geo
+    }
+
+    /// Every node ever allocated, in id order (dead ones included: ids
+    /// are positional).
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
     }
 
     /// The leaf that would contain `key`.
     pub fn leaf_for(&self, key: Key) -> NodeId {
-        let mut id = self.root;
+        let mut id = self.geo.root;
         loop {
             match self.descend(id, key) {
                 Descend::Child(c) => id = c,
@@ -496,86 +609,7 @@ impl BPlusTree {
     /// is a no-op (`applied == false`). The report lists every stale
     /// span a coherent IX-cache must invalidate.
     pub fn insert_key(&mut self, key: Key) -> MutationReport {
-        let mut report = MutationReport::default();
-        let path = self.path_to_leaf(key);
-        let leaf = *path.last().expect("path ends at a leaf");
-        {
-            let NodeKind::Leaf { keys, ranks, .. } = &mut self.nodes[leaf as usize].kind else {
-                unreachable!("path ends at a leaf");
-            };
-            let Err(pos) = keys.binary_search(&key) else {
-                return report;
-            };
-            keys.insert(pos, key);
-            ranks.insert(pos, self.next_rank);
-        }
-        report.applied = true;
-        report.writes.push(self.node_write(leaf));
-        // The new record itself (append-only value heap).
-        report.writes.push((
-            Addr::new(self.data_base.get() + self.next_rank * self.record_bytes),
-            self.record_bytes.max(1),
-        ));
-        self.next_rank += 1;
-        self.n_keys += 1;
-
-        // Ascend the path: split overflowing nodes, refresh bounds.
-        for pos in (0..path.len()).rev() {
-            let id = path[pos];
-            let over = match &self.nodes[id as usize].kind {
-                NodeKind::Leaf { keys, .. } => keys.len() > self.leaf_cap,
-                NodeKind::Interior { children, .. } => children.len() > self.fanout,
-            };
-            if !over {
-                self.refresh_bounds(id);
-                continue;
-            }
-            let (old_lo, old_hi, level) = {
-                let n = &self.nodes[id as usize];
-                (n.lo, n.hi, n.level)
-            };
-            let sib = self.split_node(id);
-            report.splits += 1;
-            push_stale(&mut report, level, old_lo, old_hi, MutKind::Split);
-            report.writes.push(self.node_write(id));
-            report.writes.push(self.node_write(sib));
-            let sib_lo = self.nodes[sib as usize].lo;
-            if pos == 0 {
-                // The root itself split: grow a new root above it.
-                let bytes = NODE_HEADER_BYTES + 8 + 2 * 8;
-                let slot = self.arena.alloc(bytes);
-                let rid = self.nodes.len() as NodeId;
-                let lo = self.nodes[id as usize].lo;
-                let hi = self.nodes[sib as usize].hi;
-                self.nodes.push(Node {
-                    kind: NodeKind::Interior {
-                        seps: vec![sib_lo],
-                        children: vec![id, sib],
-                    },
-                    level: level + 1,
-                    lo,
-                    hi,
-                    slot,
-                    dead: false,
-                });
-                self.root = rid;
-                self.depth += 1;
-                report.writes.push(self.node_write(rid));
-            } else {
-                let parent = path[pos - 1];
-                let NodeKind::Interior { seps, children } = &mut self.nodes[parent as usize].kind
-                else {
-                    unreachable!("parents are interior");
-                };
-                let cpos = children
-                    .iter()
-                    .position(|&c| c == id)
-                    .expect("parent lists its child");
-                children.insert(cpos + 1, sib);
-                seps.insert(cpos, sib_lo);
-                report.writes.push(self.node_write(parent));
-            }
-        }
+        let Ok(report) = self.geo.insert_key(&mut self.nodes, key);
         report
     }
 
@@ -585,464 +619,32 @@ impl BPlusTree {
     /// and a root leaf may end up empty (its span collapses so it covers
     /// nothing).
     pub fn delete_key(&mut self, key: Key) -> MutationReport {
-        let mut report = MutationReport::default();
-        let path = self.path_to_leaf(key);
-        let leaf = *path.last().expect("path ends at a leaf");
-        {
-            let NodeKind::Leaf { keys, ranks, .. } = &mut self.nodes[leaf as usize].kind else {
-                unreachable!("path ends at a leaf");
-            };
-            let Ok(pos) = keys.binary_search(&key) else {
-                return report;
-            };
-            keys.remove(pos);
-            ranks.remove(pos);
-        }
-        self.n_keys -= 1;
-        report.applied = true;
-        report.writes.push(self.node_write(leaf));
-
-        let min_leaf = (self.leaf_cap / 2).max(1);
-        let min_children = (self.fanout / 2).max(2);
-        // Ascend the path (root exempt): fix underflow, refresh bounds.
-        for pos in (1..path.len()).rev() {
-            let id = path[pos];
-            let under = match &self.nodes[id as usize].kind {
-                NodeKind::Leaf { keys, .. } => keys.len() < min_leaf,
-                NodeKind::Interior { children, .. } => children.len() < min_children,
-            };
-            if !under {
-                self.refresh_bounds(id);
-                continue;
-            }
-            self.rebalance_or_merge(path[pos - 1], id, &mut report);
-        }
-        self.refresh_bounds(path[0]);
+        let Ok(report) = self.geo.delete_key(&mut self.nodes, key);
         report
-    }
-
-    /// Lazily reserves the value heap before the first mutation
-    /// allocates a node, so split nodes never alias data records.
-    /// Read-only trees never pay for this (exact bulk-load footprint).
-    fn ensure_mut_region(&mut self) {
-        if !self.mut_ready {
-            self.arena.skip_to(Addr::new(self.value_heap_end));
-            self.mut_ready = true;
-        }
-    }
-
-    fn path_to_leaf(&self, key: Key) -> Vec<NodeId> {
-        let mut path = vec![self.root];
-        loop {
-            let id = *path.last().expect("path starts at the root");
-            match &self.nodes[id as usize].kind {
-                NodeKind::Interior { seps, children } => {
-                    let idx = seps.partition_point(|&s| s <= key);
-                    path.push(children[idx]);
-                }
-                NodeKind::Leaf { .. } => return path,
-            }
-        }
-    }
-
-    fn node_write(&self, id: NodeId) -> (Addr, u64) {
-        let slot = self.nodes[id as usize].slot;
-        (self.arena.addr(slot), self.arena.bytes(slot))
-    }
-
-    /// Recomputes `[lo, hi]` from current contents. An empty (root) leaf
-    /// collapses to a single-key span at its old low bound, which a walk
-    /// resolves as not-found.
-    fn refresh_bounds(&mut self, id: NodeId) {
-        let (lo, hi) = match &self.nodes[id as usize].kind {
-            NodeKind::Leaf { keys, .. } => match (keys.first(), keys.last()) {
-                (Some(&lo), Some(&hi)) => (lo, hi),
-                _ => {
-                    let n = &self.nodes[id as usize];
-                    (n.lo, n.lo)
-                }
-            },
-            NodeKind::Interior { children, .. } => {
-                let first = children[0] as usize;
-                let last = *children.last().expect("interior keeps a child") as usize;
-                (self.nodes[first].lo, self.nodes[last].hi)
-            }
-        };
-        let n = &mut self.nodes[id as usize];
-        n.lo = lo;
-        n.hi = hi;
-    }
-
-    /// Rebuilds an interior node's separators from its children's low
-    /// bounds (no-op for leaves).
-    fn rebuild_seps(&mut self, id: NodeId) {
-        let seps: Vec<Key> = {
-            let NodeKind::Interior { children, .. } = &self.nodes[id as usize].kind else {
-                return;
-            };
-            children[1..]
-                .iter()
-                .map(|&c| self.nodes[c as usize].lo)
-                .collect()
-        };
-        if let NodeKind::Interior { seps: s, .. } = &mut self.nodes[id as usize].kind {
-            *s = seps;
-        }
-    }
-
-    /// Splits overflowing node `id` in half, returning the new right
-    /// sibling (allocated past the value heap).
-    fn split_node(&mut self, id: NodeId) -> NodeId {
-        self.ensure_mut_region();
-        let level = self.nodes[id as usize].level;
-        let rid = self.nodes.len() as NodeId;
-        enum Half {
-            Leaf {
-                keys: Vec<Key>,
-                ranks: Vec<u64>,
-                next: Option<NodeId>,
-            },
-            Interior {
-                children: Vec<NodeId>,
-            },
-        }
-        let half = match &mut self.nodes[id as usize].kind {
-            NodeKind::Leaf { keys, ranks, next } => {
-                let at = keys.len() / 2;
-                let h = Half::Leaf {
-                    keys: keys.split_off(at),
-                    ranks: ranks.split_off(at),
-                    next: *next,
-                };
-                *next = Some(rid);
-                h
-            }
-            NodeKind::Interior { children, .. } => {
-                let at = children.len() / 2;
-                Half::Interior {
-                    children: children.split_off(at),
-                }
-            }
-        };
-        match half {
-            Half::Leaf { keys, ranks, next } => {
-                let bytes = NODE_HEADER_BYTES + keys.len() as u64 * 16;
-                let slot = self.arena.alloc(bytes);
-                let (lo, hi) = (keys[0], *keys.last().expect("split halves are non-empty"));
-                self.nodes.push(Node {
-                    kind: NodeKind::Leaf { keys, ranks, next },
-                    level,
-                    lo,
-                    hi,
-                    slot,
-                    dead: false,
-                });
-            }
-            Half::Interior { children } => {
-                let seps: Vec<Key> = children[1..]
-                    .iter()
-                    .map(|&c| self.nodes[c as usize].lo)
-                    .collect();
-                let bytes = NODE_HEADER_BYTES + seps.len() as u64 * 8 + children.len() as u64 * 8;
-                let slot = self.arena.alloc(bytes);
-                let lo = self.nodes[children[0] as usize].lo;
-                let hi = self.nodes[*children.last().expect("non-empty") as usize].hi;
-                self.nodes.push(Node {
-                    kind: NodeKind::Interior { seps, children },
-                    level,
-                    lo,
-                    hi,
-                    slot,
-                    dead: false,
-                });
-            }
-        }
-        self.rebuild_seps(id);
-        self.refresh_bounds(id);
-        rid
-    }
-
-    /// Whether folding `r` into `l` stays within node capacity.
-    fn can_merge(&self, l: NodeId, r: NodeId) -> bool {
-        match (&self.nodes[l as usize].kind, &self.nodes[r as usize].kind) {
-            (NodeKind::Leaf { keys: a, .. }, NodeKind::Leaf { keys: b, .. }) => {
-                a.len() + b.len() <= self.leaf_cap
-            }
-            (NodeKind::Interior { children: a, .. }, NodeKind::Interior { children: b, .. }) => {
-                a.len() + b.len() <= self.fanout
-            }
-            _ => false,
-        }
-    }
-
-    /// Fixes underflowing `id`: borrow from an adjacent sibling with
-    /// surplus, else merge with one (a node left underfull when neither
-    /// applies — e.g. an only child — still routes correctly).
-    fn rebalance_or_merge(&mut self, parent: NodeId, id: NodeId, report: &mut MutationReport) {
-        let (cpos, left, right) = {
-            let NodeKind::Interior { children, .. } = &self.nodes[parent as usize].kind else {
-                unreachable!("parents are interior");
-            };
-            let cpos = children
-                .iter()
-                .position(|&c| c == id)
-                .expect("parent lists its child");
-            (
-                cpos,
-                (cpos > 0).then(|| children[cpos - 1]),
-                children.get(cpos + 1).copied(),
-            )
-        };
-        let surplus = |t: &Self, n: NodeId| match &t.nodes[n as usize].kind {
-            NodeKind::Leaf { keys, .. } => keys.len() > (t.leaf_cap / 2).max(1),
-            NodeKind::Interior { children, .. } => children.len() > (t.fanout / 2).max(2),
-        };
-        let level = self.nodes[id as usize].level;
-        if let Some(l) = left.filter(|&l| surplus(self, l)) {
-            let (lo, hi) = (self.nodes[l as usize].lo, self.nodes[id as usize].hi);
-            self.borrow_from_left(parent, cpos, l, id);
-            report.rebalances += 1;
-            push_stale(report, level, lo, hi, MutKind::Rebalance);
-            report.writes.push(self.node_write(l));
-            report.writes.push(self.node_write(id));
-            report.writes.push(self.node_write(parent));
-        } else if let Some(r) = right.filter(|&r| surplus(self, r)) {
-            let (lo, hi) = (self.nodes[id as usize].lo, self.nodes[r as usize].hi);
-            self.borrow_from_right(parent, cpos, id, r);
-            report.rebalances += 1;
-            push_stale(report, level, lo, hi, MutKind::Rebalance);
-            report.writes.push(self.node_write(id));
-            report.writes.push(self.node_write(r));
-            report.writes.push(self.node_write(parent));
-        } else if let Some(l) = left.filter(|&l| self.can_merge(l, id)) {
-            let (lo, hi) = (self.nodes[l as usize].lo, self.nodes[id as usize].hi);
-            self.merge_into_left(parent, cpos - 1, l, id);
-            report.merges += 1;
-            push_stale(report, level, lo, hi, MutKind::Merge);
-            report.writes.push(self.node_write(l));
-            report.writes.push(self.node_write(parent));
-        } else if let Some(r) = right.filter(|&r| self.can_merge(id, r)) {
-            let (lo, hi) = (self.nodes[id as usize].lo, self.nodes[r as usize].hi);
-            self.merge_into_left(parent, cpos, id, r);
-            report.merges += 1;
-            push_stale(report, level, lo, hi, MutKind::Merge);
-            report.writes.push(self.node_write(id));
-            report.writes.push(self.node_write(parent));
-        }
-    }
-
-    /// Moves the last key/child of `l` to the front of `id` (`l` is the
-    /// left sibling at child position `cpos - 1`).
-    fn borrow_from_left(&mut self, parent: NodeId, cpos: usize, l: NodeId, id: NodeId) {
-        enum Moved {
-            Key(Key, u64),
-            Child(NodeId),
-        }
-        let moved = match &mut self.nodes[l as usize].kind {
-            NodeKind::Leaf { keys, ranks, .. } => Moved::Key(
-                keys.pop().expect("surplus leaf has keys"),
-                ranks.pop().expect("ranks track keys"),
-            ),
-            NodeKind::Interior { seps, children } => {
-                seps.pop();
-                Moved::Child(children.pop().expect("surplus interior has children"))
-            }
-        };
-        match moved {
-            Moved::Key(k, r) => {
-                if let NodeKind::Leaf { keys, ranks, .. } = &mut self.nodes[id as usize].kind {
-                    keys.insert(0, k);
-                    ranks.insert(0, r);
-                }
-            }
-            Moved::Child(c) => {
-                if let NodeKind::Interior { children, .. } = &mut self.nodes[id as usize].kind {
-                    children.insert(0, c);
-                }
-            }
-        }
-        self.rebuild_seps(id);
-        self.refresh_bounds(l);
-        self.refresh_bounds(id);
-        let new_lo = self.nodes[id as usize].lo;
-        if let NodeKind::Interior { seps, .. } = &mut self.nodes[parent as usize].kind {
-            seps[cpos - 1] = new_lo;
-        }
-    }
-
-    /// Moves the first key/child of `r` to the end of `id` (`r` is the
-    /// right sibling at child position `cpos + 1`).
-    fn borrow_from_right(&mut self, parent: NodeId, cpos: usize, id: NodeId, r: NodeId) {
-        enum Moved {
-            Key(Key, u64),
-            Child(NodeId),
-        }
-        let moved = match &mut self.nodes[r as usize].kind {
-            NodeKind::Leaf { keys, ranks, .. } => Moved::Key(keys.remove(0), ranks.remove(0)),
-            NodeKind::Interior { seps, children } => {
-                if !seps.is_empty() {
-                    seps.remove(0);
-                }
-                Moved::Child(children.remove(0))
-            }
-        };
-        match moved {
-            Moved::Key(k, rk) => {
-                if let NodeKind::Leaf { keys, ranks, .. } = &mut self.nodes[id as usize].kind {
-                    keys.push(k);
-                    ranks.push(rk);
-                }
-            }
-            Moved::Child(c) => {
-                if let NodeKind::Interior { children, .. } = &mut self.nodes[id as usize].kind {
-                    children.push(c);
-                }
-            }
-        }
-        self.rebuild_seps(id);
-        self.rebuild_seps(r);
-        self.refresh_bounds(id);
-        self.refresh_bounds(r);
-        let new_lo = self.nodes[r as usize].lo;
-        if let NodeKind::Interior { seps, .. } = &mut self.nodes[parent as usize].kind {
-            seps[cpos] = new_lo;
-        }
-    }
-
-    /// Folds `r` into its left sibling `l` and drops `r` from `parent`
-    /// (`sep_idx` is the separator between them; the removed child sits
-    /// at `sep_idx + 1`). `r` becomes a dead node.
-    fn merge_into_left(&mut self, parent: NodeId, sep_idx: usize, l: NodeId, r: NodeId) {
-        enum Contents {
-            Leaf(Vec<Key>, Vec<u64>, Option<NodeId>),
-            Interior(Vec<NodeId>),
-        }
-        let contents = match &mut self.nodes[r as usize].kind {
-            NodeKind::Leaf { keys, ranks, next } => {
-                Contents::Leaf(std::mem::take(keys), std::mem::take(ranks), next.take())
-            }
-            NodeKind::Interior { seps, children } => {
-                seps.clear();
-                Contents::Interior(std::mem::take(children))
-            }
-        };
-        self.nodes[r as usize].dead = true;
-        match contents {
-            Contents::Leaf(k, rk, nxt) => {
-                if let NodeKind::Leaf { keys, ranks, next } = &mut self.nodes[l as usize].kind {
-                    keys.extend(k);
-                    ranks.extend(rk);
-                    *next = nxt;
-                }
-            }
-            Contents::Interior(cs) => {
-                if let NodeKind::Interior { children, .. } = &mut self.nodes[l as usize].kind {
-                    children.extend(cs);
-                }
-            }
-        }
-        self.rebuild_seps(l);
-        self.refresh_bounds(l);
-        if let NodeKind::Interior { seps, children } = &mut self.nodes[parent as usize].kind {
-            seps.remove(sep_idx);
-            children.remove(sep_idx + 1);
-        }
-    }
-
-    /// Scalar geometry for external storage backends (see [`TreeShape`]).
-    pub fn shape(&self) -> TreeShape {
-        TreeShape {
-            root: self.root,
-            depth: self.depth,
-            leaf_cap: self.leaf_cap,
-            fanout: self.fanout,
-            n_keys: self.n_keys,
-            next_rank: self.next_rank,
-            arena_base: self.arena.base(),
-            data_base: self.data_base,
-            record_bytes: self.record_bytes,
-            value_heap_end: self.value_heap_end,
-            mut_ready: self.mut_ready,
-        }
-    }
-
-    /// Exports node `id` with its contents and arena placement so a
-    /// different storage backend can rebuild it verbatim. Node ids are
-    /// positional and dense: exporting `0..node_count()` in order yields
-    /// every node in its allocation order (slot == id).
-    pub fn export_node(&self, id: NodeId) -> ExportedNode {
-        let n = &self.nodes[id as usize];
-        let contents = match &n.kind {
-            NodeKind::Interior { seps, children } => NodeExport::Interior {
-                seps: seps.clone(),
-                children: children.clone(),
-            },
-            NodeKind::Leaf { keys, ranks, next } => NodeExport::Leaf {
-                keys: keys.clone(),
-                ranks: ranks.clone(),
-                next: *next,
-            },
-        };
-        ExportedNode {
-            level: n.level,
-            lo: n.lo,
-            hi: n.hi,
-            dead: n.dead,
-            addr: self.arena.addr(n.slot),
-            bytes: self.arena.bytes(n.slot),
-            contents,
-        }
     }
 }
 
 impl WalkIndex for BPlusTree {
     fn root(&self) -> NodeId {
-        self.root
+        self.geo.root
     }
 
+    #[inline]
     fn node(&self, id: NodeId) -> NodeInfo {
-        let n = &self.nodes[id as usize];
-        let keys = match &n.kind {
-            NodeKind::Interior { seps, .. } => seps.len() as u16,
-            NodeKind::Leaf { keys, .. } => keys.len() as u16,
-        };
-        NodeInfo {
-            addr: self.arena.addr(n.slot),
-            bytes: self.arena.bytes(n.slot),
-            level: n.level,
-            lo: n.lo,
-            hi: n.hi,
-            keys,
-        }
+        self.geo.info(id, &self.nodes[id as usize])
     }
 
+    #[inline]
     fn descend(&self, id: NodeId, key: Key) -> Descend {
-        match &self.nodes[id as usize].kind {
-            NodeKind::Interior { seps, children } => {
-                let idx = seps.partition_point(|&s| s <= key);
-                Descend::Child(children[idx])
-            }
-            NodeKind::Leaf { keys, ranks, .. } => match keys.binary_search(&key) {
-                Ok(pos) => Descend::Leaf {
-                    found: true,
-                    value_addr: Addr::new(self.data_base.get() + ranks[pos] * self.record_bytes),
-                    value_bytes: self.record_bytes,
-                },
-                Err(_) => Descend::Leaf {
-                    found: false,
-                    value_addr: self.data_base,
-                    value_bytes: 0,
-                },
-            },
-        }
+        self.geo.descend(&self.nodes[id as usize], key)
     }
 
     fn depth(&self) -> u8 {
-        self.depth
+        self.geo.depth
     }
 
     fn total_blocks(&self) -> u64 {
-        self.arena.total_blocks()
+        self.geo.arena.total_blocks()
     }
 
     fn node_count(&self) -> usize {
